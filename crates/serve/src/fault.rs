@@ -151,14 +151,18 @@ pub enum WorkerFault {
     Stall(Duration),
 }
 
+/// The payload of the panic an armed [`WorkerFault::PoisonTerm`] raises.
+pub(crate) const POISON_PANIC: &str = "injected poison term in query";
+
 /// Silence the default panic-hook output for shard worker threads
-/// (named `moa-shard-*`). Fault-injection runs — the `pool_faults`
-/// suite, the E19 resilience harness — panic workers *on purpose*, and
-/// every injected fault is already captured, typed, and reported through
-/// [`ServeError::ShardFailed`] / [`ShardPanic`]; the default hook's
-/// stderr traces would just bury the real output. Panics on every other
-/// thread still reach the previously installed hook. Installs once per
-/// process; safe to call repeatedly.
+/// (named `moa-shard-*`) and for injected poison-term panics on any
+/// thread (a caller-run query executes on the submitter's thread).
+/// Fault-injection runs — the `pool_faults` suite, the E19 resilience
+/// harness — panic *on purpose*, and every injected fault is already
+/// captured, typed, and reported through [`ServeError::ShardFailed`] /
+/// [`ShardPanic`]; the default hook's stderr traces would just bury the
+/// real output. Every other panic still reaches the previously installed
+/// hook. Installs once per process; safe to call repeatedly.
 pub fn silence_worker_panics() {
     static INSTALL: std::sync::Once = std::sync::Once::new();
     INSTALL.call_once(|| {
@@ -167,7 +171,8 @@ pub fn silence_worker_panics() {
             let on_worker = std::thread::current()
                 .name()
                 .is_some_and(|n| n.starts_with("moa-shard-"));
-            if !on_worker {
+            let poison = info.payload().downcast_ref::<&str>() == Some(&POISON_PANIC);
+            if !on_worker && !poison {
                 previous(info);
             }
         }));

@@ -27,7 +27,10 @@
 //!   [`ServeSession::submit_many`] with per-query work aggregation and
 //!   wall-time accounting, the streaming pair [`ServeSession::enqueue`] /
 //!   [`ServeSession::collect`] that overlaps merge and admission with
-//!   shard service, and an EXPLAIN that renders the per-shard plan table.
+//!   shard service, a solo [`ServeSession::submit`] that answers short
+//!   queries on the calling thread when the pool is idle (caller-runs,
+//!   [`ShardPool::run_in_caller`]), and an EXPLAIN that renders the
+//!   per-shard plan table.
 //!
 //! Exactness: for every exact physical plan, the merged sharded answer is
 //! **bit-identical** to a single unsharded engine — shards score with
@@ -91,7 +94,10 @@ pub use fault::{
 pub use pool::{
     BatchTicket, ExplainRow, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery,
 };
-pub use service::{BatchReport, PendingBatch, ServeConfig, ServeSession, ServeStats, ShardBusy};
+pub use service::{
+    BatchReport, PendingBatch, ServeConfig, ServeSession, ServeStats, ShardBusy,
+    CALLER_RUNS_MAX_POSTINGS,
+};
 pub use shard::{
     merge_columns, BatchQuery, EngineShard, QueryResponse, ServeMode, ShardColumn, ShardOutcome,
     ShardSpec, ShardedEngine,

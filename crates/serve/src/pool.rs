@@ -60,14 +60,35 @@
 //!   allocation-free; rare structured occurrences (panics, respawns) go
 //!   to a bounded [`moa_obs::EventLog`] of [`PoolEvent`]s, which
 //!   replaces the ad-hoc panic `Vec` earlier revisions kept.
+//! * **Caller-runs for short solo queries.** A hand-off (gauge acquire,
+//!   one `mpsc` send per shard, parked-worker wakes, reply channel,
+//!   caller wake) costs ~15 µs; a rare-term top-N costs a few. So
+//!   [`ShardPool::run_in_caller`] runs a batch on the submitting thread
+//!   instead: shard by shard, each under its retained slot's mutex (held
+//!   by a worker only while it serves a batch), with the same panic
+//!   guard, gates, pool-side poison mirror, telemetry, and merge as the
+//!   workers. `ServeSession::submit` takes it for a cache miss when the
+//!   query's total run length (Σ df over its terms) is at most
+//!   `CALLER_RUNS_MAX_POSTINGS` = 1024 and the pool is
+//!   [idle](ShardPool::idle) (every gauge at depth 0); the bound is
+//!   ≈ 512 postings on the second shard × ≈ 28 ns/posting ≈ the
+//!   14.7 µs hand-off it saves (`moabench` `point_rare` ledger). A
+//!   caller-run query takes no gauge slot, so it queues behind nothing
+//!   and can never be shed. Multi-query batches always use the workers:
+//!   the pool overlaps shards across a whole column, and the saturating
+//!   replays measure exactly that path. On `moabench` seed 2, Σ df ≤
+//!   1024 holds for 100 % of `point_rare` solo misses, 53 % of
+//!   `zipf_churn`'s, and 11 % of `scan_long`'s (`zipf_hot`'s timed
+//!   solo calls all hit the cache). The sequential profiling schedule
+//!   (`ServeSession::submit_many_sequential`) is the same runner.
 //! * **Identical answers.** Workers run the same
 //!   [`EngineShard::run_one`](crate::shard::EngineShard) column loop and
 //!   the ticket folds columns with the same tie-stable
-//!   [`merge_columns`] as the scoped and sequential paths, under the same
-//!   per-query [`BoundGate`]s — so pooled responses are bit-identical to
-//!   both, and (for exact plans) to a single unsharded engine. The
-//!   `pool_oracle` differential test pins this across plans × models ×
-//!   shard counts × propagation.
+//!   [`merge_columns`] as the scoped and caller-run paths, under the
+//!   same per-query [`BoundGate`]s — so pooled responses are
+//!   bit-identical to both, and (for exact plans) to a single unsharded
+//!   engine. The `pool_oracle` differential test pins this across plans
+//!   × models × shard counts × propagation.
 //! * **Drain on shutdown.** `mpsc` receivers keep yielding buffered
 //!   messages after every sender is dropped, so [`ShardPool::shutdown`]
 //!   (drop all job senders, then join) lets each worker finish every job
@@ -91,7 +112,7 @@ use moa_obs::{
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionPolicy, QueueGauge};
-use crate::fault::{panic_message, ServeError, ServeResult, ShardPanic, WorkerFault};
+use crate::fault::{panic_message, ServeError, ServeResult, ShardPanic, WorkerFault, POISON_PANIC};
 use crate::shard::{
     gates, merge_columns, BatchQuery, EngineShard, QueryResponse, ServeMode, ShardColumn,
     ShardSpec, ShardedEngine,
@@ -193,7 +214,9 @@ pub struct SlowQuery {
 /// The telemetry bundle one worker records into, shared between the
 /// worker thread and the pool (which drains it). Counter/histogram
 /// handles come from the pool's registry — every worker shares the same
-/// named metrics; the trace ring is worker-local.
+/// named metrics; the trace ring is worker-local. A caller-run query
+/// ([`ShardPool::run_in_caller`]) records into the same bundle as the
+/// worker whose shard it ran on.
 struct WorkerTelemetry {
     /// Trace-ring and slow-log capture on or off (metrics always record).
     enabled: bool,
@@ -214,6 +237,57 @@ struct WorkerTelemetry {
     ring: Mutex<TraceRing>,
     /// The pool-wide worst-K slow-query log.
     slow: Arc<SlowLog<SlowQuery>>,
+}
+
+impl WorkerTelemetry {
+    /// Account one executed column of batch `seq` on shard `id`:
+    /// counters are relaxed atomics, a trace is a ring-slot write of a
+    /// `Copy` value, and a rejected slow-log offer is one integer
+    /// compare — nothing here allocates in steady state. `wait_ns` is
+    /// the batch's queue wait, `None` for a caller-run column (no queue
+    /// existed, so its traces carry no queue-wait span).
+    fn account(
+        &self,
+        id: usize,
+        seq: u64,
+        queries: &[BatchQuery],
+        column: &ShardColumn,
+        wait_ns: Option<u64>,
+    ) {
+        for (qi, r) in column.iter().enumerate() {
+            let Ok(o) = r else { continue };
+            self.queries.incr();
+            let wall_ns = o.busy.as_nanos() as u64;
+            self.query_ns.record(wall_ns);
+            if o.report.partial {
+                self.partials.incr();
+            }
+            if o.memo_hit {
+                self.memo_hits.incr();
+            }
+            if self.enabled {
+                let mut trace = QueryTrace::new(seq, qi as u32, id as u32);
+                trace.plan = o.plan.name();
+                trace.wall_ns = wall_ns;
+                trace.partial = o.report.partial;
+                if let Some(wait_ns) = wait_ns {
+                    trace.push(Phase::QueueWait, wait_ns);
+                }
+                trace.push_phases(&o.phases);
+                self.ring.lock().record(trace);
+                self.slow.offer_with(wall_ns, || SlowQuery {
+                    shard: id,
+                    terms: queries[qi].terms.clone(),
+                    n: queries[qi].n,
+                    plan: o.plan.name(),
+                    est_cost: o.est_cost,
+                    wall: o.busy,
+                    partial: o.report.partial,
+                    trace,
+                });
+            }
+        }
+    }
 }
 
 /// Pool-level admission counters, registered once at construction.
@@ -328,6 +402,11 @@ struct Worker {
     /// Shared with the worker thread; survives respawns (the replacement
     /// thread keeps recording into the same ring and counters).
     tele: Arc<WorkerTelemetry>,
+    /// The pool-side mirror of the worker's armed poison term, set by
+    /// [`ShardPool::inject_fault`] in admission order and applied by
+    /// [`ShardPool::run_in_caller`], which never passes through the
+    /// worker's queue. Cleared on respawn, as the worker's own copy is.
+    poison: Option<u32>,
 }
 
 fn spawn_worker(
@@ -358,7 +437,7 @@ fn run_guarded(
     let poisoned = poison.is_some_and(|t| q.terms.contains(&t));
     match catch_unwind(AssertUnwindSafe(|| {
         if poisoned {
-            panic!("injected poison term in query");
+            std::panic::panic_any(POISON_PANIC);
         }
         shard.run_one(q, mode, gate)
     })) {
@@ -407,41 +486,7 @@ fn worker_loop(
                         .map(|(qi, q)| run_guarded(shard, id, q, job.mode, &job.gates[qi], poison))
                         .collect()
                 };
-                // Account the column: counters are relaxed atomics, a
-                // trace is a ring-slot write of a `Copy` value, and a
-                // rejected slow-log offer is one integer compare —
-                // nothing here allocates in steady state.
-                for (qi, r) in column.iter().enumerate() {
-                    let Ok(o) = r else { continue };
-                    tele.queries.incr();
-                    let wall_ns = o.busy.as_nanos() as u64;
-                    tele.query_ns.record(wall_ns);
-                    if o.report.partial {
-                        tele.partials.incr();
-                    }
-                    if o.memo_hit {
-                        tele.memo_hits.incr();
-                    }
-                    if tele.enabled {
-                        let mut trace = QueryTrace::new(job.seq, qi as u32, id as u32);
-                        trace.plan = o.plan.name();
-                        trace.wall_ns = wall_ns;
-                        trace.partial = o.report.partial;
-                        trace.push(Phase::QueueWait, wait_ns);
-                        trace.push_phases(&o.phases);
-                        tele.ring.lock().record(trace);
-                        tele.slow.offer_with(wall_ns, || SlowQuery {
-                            shard: id,
-                            terms: job.queries[qi].terms.clone(),
-                            n: job.queries[qi].n,
-                            plan: o.plan.name(),
-                            est_cost: o.est_cost,
-                            wall: o.busy,
-                            partial: o.report.partial,
-                            trace,
-                        });
-                    }
-                }
+                tele.account(id, job.seq, &job.queries, &column, Some(wait_ns));
                 // Release *before* delivering: a caller that has
                 // collected every column can rely on the slots already
                 // being free (an idle-only resubmission right after a
@@ -620,6 +665,10 @@ pub struct ShardPool {
     slow: Arc<SlowLog<SlowQuery>>,
     /// Pool-level admission counters (registry handles).
     counters: PoolCounters,
+    /// `serve.kway_merge_ns`, shared with the session (which records the
+    /// merges of pool tickets); the pool records the merges it folds
+    /// itself in [`ShardPool::run_in_caller`].
+    merge_ns: Arc<Histogram>,
     /// Wall-clock cost of each respawn (join + thread spawn).
     recoveries: Vec<Duration>,
     /// Monotone batch sequence, tagged into traces.
@@ -654,6 +703,7 @@ impl ShardPool {
         let (shards, spec, index, kernel) = engine.into_parts();
         let slow = Arc::new(SlowLog::with_capacity(config.slow_log));
         let events = Arc::new(EventLog::with_capacity(EVENT_LOG_CAP));
+        let merge_ns = registry.histogram("serve.kway_merge_ns");
         let counters = PoolCounters {
             batches: registry.counter("serve.batches"),
             admitted: registry.counter("serve.queries_admitted"),
@@ -696,6 +746,7 @@ impl ShardPool {
                     slot,
                     gauge,
                     tele,
+                    poison: None,
                 }
             })
             .collect();
@@ -709,6 +760,7 @@ impl ShardPool {
             events,
             slow,
             counters,
+            merge_ns,
             recoveries: Vec::new(),
             batch_seq: 0,
         }
@@ -846,6 +898,7 @@ impl ShardPool {
         let t0 = Instant::now();
         let w = &mut self.workers[i];
         w.gauge.reset();
+        w.poison = None;
         let (tx, rx) = channel();
         let handle = spawn_worker(
             w.id,
@@ -1024,70 +1077,84 @@ impl ShardPool {
         })
     }
 
-    /// The profiling twin of [`ShardPool::submit`]: workers run one at a
-    /// time in shard order (each finishes its whole column before the
-    /// next starts), so with propagation the thresholds published by
-    /// earlier shards reach later shards deterministically and per-shard
-    /// busy times are reproducible — the same schedule as
-    /// [`ShardedEngine::execute_batch_sequential`], on the workers'
-    /// threads. No admission coalescing: every position executes, which
-    /// is what makes this the per-position bit-identity reference for
-    /// [`ShardPool::submit`]'s coalesced fan-out. Admission blocks for
-    /// queue room (the submitter waits for each column anyway).
-    pub fn submit_sequential(
+    /// Whether every worker queue is empty (every gauge at depth zero):
+    /// nothing admitted is unfinished, so no worker holds its shard slot
+    /// for a batch and work run in the caller queues behind nothing.
+    pub fn idle(&self) -> bool {
+        self.workers.iter().all(|w| w.gauge.depth() == 0)
+    }
+
+    /// Run a batch on the calling thread: shard by shard in shard order,
+    /// each column under the shard's slot lock, through the same
+    /// per-query panic guard ([`ServeError::ShardFailed`] on a panic or
+    /// an armed poison term), the same gates (shared thresholds under
+    /// `propagate`, plus one [`DeadlineGate`] per query when the pool
+    /// has a budget), and the same tie-stable [`merge_columns`] as the
+    /// workers — so answers are bit-identical to [`ShardPool::submit`].
+    ///
+    /// Nothing is handed off: no gauge slot, no job send, no reply
+    /// channel, no worker wake. The only lock taken is each shard's slot
+    /// mutex, which a worker holds only while it serves a batch, so on
+    /// an [idle](ShardPool::idle) pool it is uncontended. The caller
+    /// bypasses admission, so this work cannot be shed. With propagation
+    /// the thresholds published by earlier shards reach later shards
+    /// deterministically and per-shard busy times are reproducible — the
+    /// schedule of [`ShardedEngine::execute_batch_sequential`]. No
+    /// coalescing: every position executes, which makes this the
+    /// per-position bit-identity reference for [`ShardPool::submit`]'s
+    /// coalesced fan-out. Each column is accounted like a worker's
+    /// (`serve.shard_queries`, `serve.query_ns`, trace ring, slow log)
+    /// but records no queue wait.
+    pub fn run_in_caller(
         &mut self,
         queries: &[BatchQuery],
         mode: ServeMode,
         propagate: bool,
     ) -> Vec<ServeResult<QueryResponse>> {
-        self.heal();
-        let queries: Arc<[BatchQuery]> = queries.into();
         self.counters.batches.incr();
         self.counters.admitted.add(queries.len() as u64);
         let seq = self.batch_seq;
         self.batch_seq += 1;
-        let gates = self.build_gates(&queries, propagate);
-        let mut columns: Vec<ShardColumn> = Vec::with_capacity(self.workers.len());
-        for i in 0..self.workers.len() {
-            loop {
-                if self.workers[i].gauge.try_acquire().is_ok() {
-                    break;
-                }
-                if self.workers[i].handle.is_finished() {
-                    self.heal_worker(i);
-                    continue;
-                }
-                self.workers[i].gauge.wait_for_room(BLOCK_RECHECK);
-            }
-            let (done, rx) = channel();
-            let job = Arc::new(BatchJob {
-                queries: Arc::clone(&queries),
-                mode,
-                // Gate clones share the underlying thresholds: later
-                // shards see what earlier shards published.
-                gates: gates.clone(),
-                seq,
-                admitted: Instant::now(),
-                done,
-            });
-            self.send_job(i, Job::Batch(job), true);
-            let column = match rx.recv() {
-                Ok((_, column)) => column,
-                // The worker died with this job on its queue; the next
-                // submission (or heal) respawns it.
-                Err(_) => lost_column(i, queries.len()),
-            };
-            columns.push(column);
-        }
-        merge_columns(&queries, columns)
+        let gates = self.build_gates(queries, propagate);
+        let columns: Vec<ShardColumn> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let column: ShardColumn = {
+                    let mut guard = w.slot.lock();
+                    let shard = guard
+                        .as_mut()
+                        .expect("the slot holds the shard until shutdown");
+                    queries
+                        .iter()
+                        .zip(&gates)
+                        .map(|(q, gate)| run_guarded(shard, w.id, q, mode, gate, w.poison))
+                        .collect()
+                };
+                w.tele.account(w.id, seq, queries, &column, None);
+                column
+            })
+            .collect();
+        let t_merge = Instant::now();
+        let responses = merge_columns(queries, columns);
+        self.merge_ns.record(t_merge.elapsed().as_nanos() as u64);
+        responses
     }
 
     /// Inject a fault into one shard worker (tests and the E19
     /// resilience harness). The fault rides the worker's ordinary job
     /// queue, so it takes effect after everything already admitted. A
-    /// dead worker is healed first so the injection always lands.
+    /// dead worker is healed first so the injection always lands. An
+    /// armed or cleared poison term is mirrored pool-side at the same
+    /// moment, so [`ShardPool::run_in_caller`] — which never reaches the
+    /// queue — sees it in the same admission order.
     pub fn inject_fault(&mut self, shard: usize, fault: WorkerFault) {
         self.heal_worker(shard);
+        match fault {
+            WorkerFault::PoisonTerm(t) => self.workers[shard].poison = Some(t),
+            WorkerFault::ClearPoison => self.workers[shard].poison = None,
+            WorkerFault::Crash | WorkerFault::Stall(_) => {}
+        }
         self.send_job(shard, Job::Fault(fault), false);
     }
 

@@ -13,7 +13,9 @@
 //! Shard workers are long-lived: batch submission costs two `mpsc` sends
 //! per shard, not a thread spawn/join — the regression the scoped-thread
 //! runtime paid per batch (see [`crate::pool`]) and the E18 sustained-load
-//! harness now gates against.
+//! harness now gates against. A short solo query skips even that: on an
+//! idle pool, [`ServeSession::submit`] runs it on the calling thread
+//! (caller-runs; see [`CALLER_RUNS_MAX_POSTINGS`]).
 //!
 //! Overload and failure semantics ride through from the pool: admission
 //! is bounded ([`ServeConfig::queue_depth`], [`ServeConfig::admission`]),
@@ -29,13 +31,26 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moa_ir::{ExecReport, FragmentSpec, InvertedIndex, RankingModel, SwitchPolicy};
-use moa_obs::{Histogram, MetricsRegistry, QueryTrace};
+use moa_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 
 use crate::admission::AdmissionPolicy;
 use crate::cache::{CacheConfig, ResultCache};
 use crate::fault::{ServeError, ServeResult};
 use crate::pool::{BatchTicket, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery};
 use crate::shard::{merge_columns, BatchQuery, QueryResponse, ServeMode, ShardSpec, ShardedEngine};
+
+/// The largest total run length (Σ df over the query's terms, from the
+/// catalog) for which [`ServeSession::submit`] answers a cache miss on
+/// the calling thread ([`ShardPool::run_in_caller`]) instead of handing
+/// it to the shard workers. Derived from the `moabench` `point_rare`
+/// ledger: the pool hand-off costs ≈ 14.7 µs (`pool.handoff_us_p50`),
+/// and in-caller execution runs the shards one after another, so the
+/// second shard's share of the run (≈ 512 postings of 1024 under range
+/// partitioning) at ≈ 28 ns/posting (shard busy time over postings
+/// scanned) costs about what the hand-off saves. Longer queries gain
+/// more from the workers running shards side by side than they lose to
+/// the hand-off.
+pub const CALLER_RUNS_MAX_POSTINGS: usize = 1024;
 
 /// Session configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,6 +279,15 @@ impl ServeStats {
             self.postings_scanned = self.postings_scanned.saturating_add(p);
         }
     }
+
+    /// Fold one cache hit: served, but scanned nothing — the work its
+    /// entry carries was performed (and counted) by the execution that
+    /// populated it. A cached answer is never partial (partial responses
+    /// are not inserted).
+    fn absorb_hit(&mut self, cached: &QueryResponse) {
+        self.queries_cache_hit = self.queries_cache_hit.saturating_add(1);
+        self.absorb_ok(cached.partial, None);
+    }
 }
 
 /// A batch admitted by [`ServeSession::enqueue`] and not yet collected.
@@ -339,6 +363,9 @@ pub struct ServeSession {
     /// `serve.deliver_ns`: coalesced fan-out + counter accounting per
     /// batch (the session's post-merge delivery work).
     deliver_ns: Arc<Histogram>,
+    /// `serve.caller_runs`: solo cache misses [`ServeSession::submit`]
+    /// answered on the calling thread instead of the pool.
+    caller_runs: Arc<Counter>,
 }
 
 impl ServeSession {
@@ -365,6 +392,7 @@ impl ServeSession {
         // as the pool's shard-side metrics: one exposition for the stack.
         let merge_ns = pool.registry().histogram("serve.kway_merge_ns");
         let deliver_ns = pool.registry().histogram("serve.deliver_ns");
+        let caller_runs = pool.registry().counter("serve.caller_runs");
         let cache = config
             .cache
             .map(|c| Arc::new(ResultCache::with_registry(c, config.model, pool.registry())));
@@ -375,6 +403,7 @@ impl ServeSession {
             cache,
             merge_ns,
             deliver_ns,
+            caller_runs,
         })
     }
 
@@ -402,14 +431,79 @@ impl ServeSession {
     }
 
     /// Answer one query.
+    ///
+    /// The result cache (when enabled) is consulted first; a hit returns
+    /// without touching the pool. A miss is dispatched one of two ways:
+    ///
+    /// * **caller-runs** — when the query's total run length (Σ df over
+    ///   its terms) is at most [`CALLER_RUNS_MAX_POSTINGS`] and every
+    ///   worker queue is empty ([`ShardPool::idle`]), the shards run on
+    ///   this thread ([`ShardPool::run_in_caller`]): no gauge slot, no
+    ///   channel, no worker wake, so a few-µs query no longer pays a
+    ///   ~15 µs hand-off. It takes no admission slot, so it is never
+    ///   shed; deadlines, panic isolation (including injected poison
+    ///   terms), telemetry, and cache insertion behave as on the pool
+    ///   (no `serve.queue_wait_ns` sample: there was no queue). Counted
+    ///   in `serve.caller_runs`.
+    /// * **pool** — otherwise, exactly as a one-query
+    ///   [`ServeSession::submit_many`]: admitted under
+    ///   [`ServeConfig::admission`] (so it may be shed) and queued behind
+    ///   any batches already in flight.
+    ///
+    /// Answers are bit-identical either way. Only solo calls take this
+    /// choice: multi-query batches always use the pool, which overlaps
+    /// the shards across the whole column. `EXPLAIN` reports the
+    /// dispatch a miss would take now.
     pub fn submit(&mut self, terms: &[u32], n: usize) -> ServeResult<QueryResponse> {
-        let queries = [BatchQuery {
-            terms: terms.to_vec(),
-            n,
-        }];
-        let report = self.submit_many(&queries)?;
-        let mut responses = report.responses;
-        responses.pop().expect("one result per submitted query")
+        let (hit, insert_epoch) = match &self.cache {
+            Some(cache) => {
+                let epoch = cache.epoch();
+                (cache.get(terms, n), Some(epoch))
+            }
+            None => (None, None),
+        };
+        let response = match hit {
+            Some(cached) => {
+                self.stats.absorb_hit(&cached);
+                Ok(QueryResponse::clone(&cached))
+            }
+            None => {
+                let query = [BatchQuery {
+                    terms: terms.to_vec(),
+                    n,
+                }];
+                let mut responses = if self.runs_in_caller(terms) {
+                    self.caller_runs.incr();
+                    let answered =
+                        self.pool
+                            .run_in_caller(&query, self.config.mode, self.config.propagate);
+                    self.deliver(&query, answered, &[0], insert_epoch)
+                } else {
+                    let ticket = self.submit_to_pool(&query)?;
+                    self.merge_ticket(ticket, insert_epoch)
+                };
+                responses.pop().expect("one result per submitted query")
+            }
+        };
+        self.stats.batches_served = self.stats.batches_served.saturating_add(1);
+        response
+    }
+
+    /// The query's total run length: Σ df over its terms from the
+    /// unsharded catalog. An unknown term counts zero — it fails with
+    /// the same engine error on either dispatch path.
+    fn run_length(&self, terms: &[u32]) -> usize {
+        let index = self.pool.index();
+        terms
+            .iter()
+            .map(|&t| index.df(t).map_or(0, |df| df as usize))
+            .sum()
+    }
+
+    /// The caller-runs rule of [`ServeSession::submit`]: short, and the
+    /// pool has nothing in flight to queue behind.
+    fn runs_in_caller(&self, terms: &[u32]) -> bool {
+        self.run_length(terms) <= CALLER_RUNS_MAX_POSTINGS && self.pool.idle()
     }
 
     /// Answer a batch: every shard worker runs its column of the batch
@@ -509,17 +603,11 @@ impl ServeSession {
         let responses = if hits.is_empty() {
             misses
         } else {
-            // Cache hits count as served queries but scanned nothing: the
-            // work their entries carry was performed (and counted) by the
-            // execution that populated them. A cached answer is never
-            // partial — partial responses are not inserted.
             let mut miss_iter = misses.into_iter();
             hits.into_iter()
                 .map(|h| match h {
                     Some(cached) => {
-                        self.stats.queries_cache_hit =
-                            self.stats.queries_cache_hit.saturating_add(1);
-                        self.stats.absorb_ok(cached.partial, None);
+                        self.stats.absorb_hit(&cached);
                         Ok(QueryResponse::clone(&cached))
                     }
                     None => miss_iter
@@ -532,16 +620,13 @@ impl ServeSession {
         BatchReport { responses, wall }
     }
 
-    /// Redeem a pool ticket: merge the shard columns, expand coalesced
-    /// positions, account the session counters, and — when
-    /// `insert_epoch` is set — insert every complete distinct answer
-    /// into the result cache stamped with the admission-time epoch.
+    /// Redeem a pool ticket: merge the shard columns, then
+    /// [deliver](ServeSession::deliver) the distinct answers.
     fn merge_ticket(
         &mut self,
         ticket: BatchTicket,
         insert_epoch: Option<u64>,
     ) -> Vec<ServeResult<QueryResponse>> {
-        let coalesced = ticket.coalesced();
         let expand = ticket.expansion().to_vec();
         // Redeem the ticket in two steps so the merge is its own span:
         // waiting for columns is shard service time, folding them is
@@ -550,6 +635,22 @@ impl ServeSession {
         let t_merge = Instant::now();
         let distinct = merge_columns(&queries, columns);
         self.merge_ns.record(t_merge.elapsed().as_nanos() as u64);
+        self.deliver(&queries, distinct, &expand, insert_epoch)
+    }
+
+    /// Deliver merged answers to the distinct `queries`: expand them to
+    /// the admitted positions (`expand[i]` is the distinct query that
+    /// answers position `i`), account the session counters, and — when
+    /// `insert_epoch` is set — insert every complete distinct answer
+    /// into the result cache stamped with the admission-time epoch.
+    fn deliver(
+        &mut self,
+        queries: &[BatchQuery],
+        distinct: Vec<ServeResult<QueryResponse>>,
+        expand: &[usize],
+        insert_epoch: Option<u64>,
+    ) -> Vec<ServeResult<QueryResponse>> {
+        let coalesced = expand.len() - distinct.len();
         let t_deliver = Instant::now();
         if let (Some(epoch), Some(cache)) = (insert_epoch, self.cache.clone()) {
             // One insertion per *distinct* query: complete (`Ok`,
@@ -575,7 +676,7 @@ impl ServeSession {
         // distinct index equals the number of distinct indices seen so
         // far — they are assigned in first-occurrence order.
         let mut seen = 0usize;
-        for (r, &u) in responses.iter().zip(&expand) {
+        for (r, &u) in responses.iter().zip(expand) {
             let first_occurrence = u == seen;
             if first_occurrence {
                 seen += 1;
@@ -599,31 +700,22 @@ impl ServeSession {
         responses
     }
 
-    /// [`ServeSession::submit_many`] in profiling mode: shard workers run
-    /// one at a time in shard order ([`ShardPool::submit_sequential`]),
-    /// so work counters and per-shard busy times are deterministic and
-    /// free of scheduler interference. Answers are identical to the
-    /// concurrent path. Admission blocks (never sheds).
+    /// [`ServeSession::submit_many`] in profiling mode: the shards run
+    /// one at a time in shard order on the calling thread
+    /// ([`ShardPool::run_in_caller`]), so work counters and per-shard
+    /// busy times are deterministic and free of scheduler interference.
+    /// No coalescing and no result cache: every position executes.
+    /// Answers are identical to the concurrent path. Bypasses admission
+    /// (never sheds).
     pub fn submit_many_sequential(&mut self, queries: &[BatchQuery]) -> BatchReport {
         let t0 = Instant::now();
-        let responses =
-            self.pool
-                .submit_sequential(queries, self.config.mode, self.config.propagate);
+        let answered = self
+            .pool
+            .run_in_caller(queries, self.config.mode, self.config.propagate);
         let wall = t0.elapsed();
+        let identity: Vec<usize> = (0..queries.len()).collect();
+        let responses = self.deliver(queries, answered, &identity, None);
         self.stats.batches_served = self.stats.batches_served.saturating_add(1);
-        for r in &responses {
-            match r {
-                Ok(resp) => {
-                    self.stats
-                        .absorb_ok(resp.partial, Some(resp.work.postings_scanned));
-                    let memo = resp.shards.iter().filter(|o| o.memo_hit).count();
-                    self.stats.plans_memoized = self.stats.plans_memoized.saturating_add(memo);
-                }
-                Err(_) => {
-                    self.stats.queries_failed = self.stats.queries_failed.saturating_add(1);
-                }
-            }
-        }
         BatchReport { responses, wall }
     }
 
@@ -676,6 +768,15 @@ impl ServeSession {
                     let _ = writeln!(out, "   cache: MISS");
                 }
             }
+        }
+        let run_len = self.run_length(terms);
+        if self.runs_in_caller(terms) {
+            let _ = writeln!(
+                out,
+                "   dispatch: caller-runs (run length {run_len} ≤ {CALLER_RUNS_MAX_POSTINGS})"
+            );
+        } else {
+            let _ = writeln!(out, "   dispatch: pool (run length {run_len})");
         }
         let _ = writeln!(
             out,

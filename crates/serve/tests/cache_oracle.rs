@@ -11,7 +11,7 @@ use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, 
 use moa_ir::InvertedIndex;
 use moa_serve::{
     approx_entry_bytes, AdmissionPolicy, BatchQuery, CacheConfig, QueryResponse, ServeConfig,
-    ServeSession, ShardSpec,
+    ServeSession, ShardSpec, CALLER_RUNS_MAX_POSTINGS,
 };
 
 fn fixture() -> (Arc<InvertedIndex>, Vec<Query>) {
@@ -44,6 +44,14 @@ fn session(idx: &Arc<InvertedIndex>, cache: Option<CacheConfig>) -> ServeSession
         ..ServeConfig::planned(2)
     };
     ServeSession::new(Arc::clone(idx), config).expect("tiny index shards cleanly")
+}
+
+/// Σ df over the terms: the caller-runs dispatch key.
+fn run_length(idx: &InvertedIndex, terms: &[u32]) -> usize {
+    terms
+        .iter()
+        .map(|&t| idx.df(t).expect("in vocabulary") as usize)
+        .sum()
 }
 
 fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
@@ -179,6 +187,32 @@ fn fully_cached_batches_never_touch_the_pool() {
     s.invalidate_epoch();
     let text = s.explain(&queries[0].terms, 5).expect("explain renders");
     assert!(text.contains("cache: MISS"), "explain: {text}");
+    // ...and names the dispatch a solo miss would take: short queries run
+    // in the caller, long ones go to the pool.
+    let short = run_length(&idx, &queries[0].terms);
+    assert!(short <= CALLER_RUNS_MAX_POSTINGS);
+    assert!(
+        text.contains(&format!(
+            "dispatch: caller-runs (run length {short} ≤ {CALLER_RUNS_MAX_POSTINGS})"
+        )),
+        "explain: {text}"
+    );
+    let mut by_df: Vec<u32> = (0..idx.vocab_size() as u32).collect();
+    by_df.sort_by_key(|&t| std::cmp::Reverse(idx.df(t).expect("in vocabulary")));
+    let mut long = Vec::new();
+    while run_length(&idx, &long) <= CALLER_RUNS_MAX_POSTINGS {
+        long.push(by_df[long.len()]);
+    }
+    let text = s.explain(&long, 5).expect("explain renders");
+    let needle = format!("dispatch: pool (run length {})", run_length(&idx, &long));
+    assert!(text.contains(&needle), "explain: {text}");
+    // The solo miss after the bump runs in the caller, counted once; the
+    // long one is handed to the pool and not counted.
+    assert_eq!(s.metrics().counter("serve.caller_runs").get(), 0);
+    let again = s.submit(&queries[0].terms, 5).expect("ok");
+    assert_eq!(bits(&again.top), bits(&first.expect_ok()[0].top));
+    let _ = s.submit(&long, 5).expect("ok");
+    assert_eq!(s.metrics().counter("serve.caller_runs").get(), 1);
 }
 
 #[test]
@@ -194,6 +228,7 @@ fn partial_responses_are_never_cached() {
     };
     let mut s = ServeSession::new(Arc::clone(&idx), config).expect("builds");
     let q = &queries[0];
+    assert!(run_length(&idx, &q.terms) <= CALLER_RUNS_MAX_POSTINGS);
     let first = s.submit(&q.terms, 10).expect("ok");
     assert!(first.partial, "a 1ns budget must expire");
     let _second = s.submit(&q.terms, 10).expect("ok");
@@ -203,4 +238,7 @@ fn partial_responses_are_never_cached() {
         "a truncated prefix must never be replayed as the full answer"
     );
     assert_eq!(s.result_cache().expect("cache configured").len(), 0);
+    // Both calls were short solo misses on an idle pool: the deadline
+    // and the no-partial-insert rule held on the caller-runs path.
+    assert_eq!(s.metrics().counter("serve.caller_runs").get(), 2);
 }

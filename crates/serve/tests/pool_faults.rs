@@ -15,7 +15,10 @@
 //!   over the retained shard, and answers return bit-identical;
 //! * teardown — dropping an admitted ticket neither deadlocks workers
 //!   nor leaks queue slots, and `shutdown` *reports* worker panics
-//!   instead of re-panicking the drain.
+//!   instead of re-panicking the drain;
+//! * caller-runs parity — a short solo `submit` executed on the calling
+//!   thread degrades under deadlines and fails under poison exactly as
+//!   the workers do.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +27,7 @@ use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, 
 use moa_ir::{InvertedIndex, PhysicalPlan};
 use moa_serve::{
     silence_worker_panics, AdmissionPolicy, BatchQuery, ServeConfig, ServeError, ServeMode,
-    ServeSession, WorkerFault,
+    ServeSession, WorkerFault, CALLER_RUNS_MAX_POSTINGS,
 };
 
 fn fixture() -> (Collection, Arc<InvertedIndex>, Vec<Query>) {
@@ -61,6 +64,29 @@ fn session(
         ..ServeConfig::planned(shards)
     };
     ServeSession::new(Arc::clone(idx), config).expect("tiny index shards cleanly")
+}
+
+/// The queries a solo `submit` answers in the caller on an idle pool:
+/// total run length (Σ df) within the caller-runs bound.
+fn short_queries(idx: &InvertedIndex, queries: &[Query]) -> Vec<Query> {
+    let short: Vec<Query> = queries
+        .iter()
+        .filter(|q| {
+            let run: usize = q
+                .terms
+                .iter()
+                .map(|&t| idx.df(t).expect("in vocabulary") as usize)
+                .sum();
+            run <= CALLER_RUNS_MAX_POSTINGS
+        })
+        .cloned()
+        .collect();
+    assert!(!short.is_empty(), "the fixture has a short query");
+    short
+}
+
+fn caller_runs(svc: &ServeSession) -> u64 {
+    svc.metrics().counter("serve.caller_runs").get()
 }
 
 fn batch_of(queries: &[Query], n: usize) -> Vec<BatchQuery> {
@@ -303,6 +329,54 @@ fn deadline_expiry_degrades_to_partial_with_honest_exact_scores() {
 }
 
 #[test]
+fn solo_deadline_expiry_in_the_caller_degrades_to_partial_with_honest_exact_scores() {
+    // The caller-runs twin of the test above: a short solo `submit` on an
+    // idle pool runs on this thread under the same per-query deadline
+    // gate, so an expired budget must degrade the same way — partial,
+    // exact scores, no more work than the full run.
+    let (c, idx, queries) = fixture();
+    let short = short_queries(&idx, &queries);
+    let mut svc = session(
+        &idx,
+        2,
+        4,
+        AdmissionPolicy::Block,
+        Some(Duration::from_nanos(1)),
+    );
+    let mut full = session(&idx, 2, 4, AdmissionPolicy::Block, None);
+    for (qi, q) in short.iter().enumerate() {
+        let g = svc.submit(&q.terms, 10).expect("caller-runs never sheds");
+        let w = full
+            .submit(&q.terms, c.num_docs())
+            .expect("caller-runs never sheds");
+        assert!(
+            g.partial,
+            "q{qi}: expired budget must mark the response partial"
+        );
+        for &(doc, score) in &g.top {
+            let exact = w
+                .top
+                .iter()
+                .find(|(d, _)| *d == doc)
+                .unwrap_or_else(|| panic!("q{qi}: partial doc {doc} not in the full ranking"));
+            assert_eq!(
+                score.to_bits(),
+                exact.1.to_bits(),
+                "q{qi} doc {doc}: partial score is not the exact score"
+            );
+        }
+        assert!(
+            g.work.postings_scanned <= w.work.postings_scanned,
+            "q{qi}: a timed-out query cannot scan more than the full run"
+        );
+    }
+    assert_eq!(caller_runs(&svc), short.len() as u64);
+    let stats = svc.stats();
+    assert_eq!(stats.queries_partial, short.len());
+    assert_eq!(stats.queries_failed, 0);
+}
+
+#[test]
 fn expired_deadline_overshoot_is_bounded_by_the_poll_stride_not_the_volume() {
     // Satellite: the gather and accumulator loops now poll the deadline
     // every SCAN_POLL_STRIDE postings *inside* a pass, so a query whose
@@ -464,6 +538,42 @@ fn poison_term_fails_only_its_position_and_the_worker_survives() {
     {
         assert_eq!(g.top, w.top, "q{qi}: disarmed batch diverged");
     }
+}
+
+#[test]
+fn poisoned_short_solo_submit_fails_typed_in_the_caller_and_recovers() {
+    // A caller-run query never passes through the worker's queue, so the
+    // armed poison is mirrored pool-side: the in-caller execution must
+    // fail exactly as the worker would, inside the same per-query guard.
+    silence_worker_panics();
+    let (_, idx, queries) = fixture();
+    let q = short_queries(&idx, &queries).remove(0);
+    let mut svc = session(&idx, 2, 4, AdmissionPolicy::Block, None);
+    let mut reference = session(&idx, 2, 4, AdmissionPolicy::Block, None);
+    svc.pool_mut()
+        .inject_fault(0, WorkerFault::PoisonTerm(q.terms[0]));
+    match svc.submit(&q.terms, 10) {
+        Err(ServeError::ShardFailed { shard, panic }) => {
+            assert_eq!(shard, 0, "the poison was armed on shard 0");
+            assert!(
+                panic.contains("injected poison term"),
+                "payload must survive to the caller: {panic:?}"
+            );
+        }
+        other => panic!("poisoned solo submit must fail typed, got {other:?}"),
+    }
+    assert_eq!(caller_runs(&svc), 1, "the poisoned call ran in the caller");
+    assert_eq!(svc.pool().respawns(), 0, "nothing died");
+    assert_eq!(svc.stats().queries_failed, 1);
+    svc.pool_mut().inject_fault(0, WorkerFault::ClearPoison);
+    let healed = svc.submit(&q.terms, 10).expect("disarmed");
+    let want = reference.submit(&q.terms, 10).expect("never faulted");
+    let bits = |top: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        top.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+    };
+    assert_eq!(bits(&healed.top), bits(&want.top));
+    assert_eq!(caller_runs(&svc), 2);
+    assert_eq!(svc.pool().respawns(), 0);
 }
 
 #[test]

@@ -9,10 +9,15 @@
 //! everything; nothing was rebuilt mid-stream).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
 use moa_ir::{InvertedIndex, PhysicalPlan, RankingModel, Strategy, SwitchPolicy};
-use moa_serve::{BatchQuery, ServeConfig, ServeMode, ServeSession, ShardSpec};
+use moa_obs::Phase;
+use moa_serve::{
+    BatchQuery, ServeConfig, ServeMode, ServeSession, ShardSpec, WorkerFault,
+    CALLER_RUNS_MAX_POSTINGS,
+};
 
 fn fixture() -> (Collection, Arc<InvertedIndex>, Vec<Query>) {
     let c = Collection::generate(CollectionConfig::tiny()).expect("valid preset");
@@ -200,6 +205,114 @@ fn planned_pool_matches_the_naive_oracle_across_shard_counts() {
             }
         }
     }
+}
+
+#[test]
+fn short_solo_submit_queues_behind_a_busy_pool_and_runs_in_the_caller_once_idle() {
+    // Caller-runs dispatch keys on the gauges: a short solo query runs on
+    // the submitting thread only when every worker queue is empty. Behind
+    // an admitted batch it takes the pool path and queues in admission
+    // order; once the batch is collected, the same call runs in the
+    // caller — with the same answer, and accounted like a worker's
+    // execution minus the queue wait.
+    let (c, idx, queries) = fixture();
+    let run_length = |q: &Query| -> usize {
+        q.terms
+            .iter()
+            .map(|&t| idx.df(t).expect("in vocabulary") as usize)
+            .sum()
+    };
+    let short = queries
+        .iter()
+        .find(|q| run_length(q) <= CALLER_RUNS_MAX_POSTINGS)
+        .expect("the fixture has a short query");
+    let batch: Vec<BatchQuery> = queries
+        .iter()
+        .filter(|q| q.terms != short.terms)
+        .take(4)
+        .map(|q| BatchQuery {
+            terms: q.terms.clone(),
+            n: 10,
+        })
+        .collect();
+    let model = RankingModel::default();
+    let mut svc = session(&idx, 2, ServeMode::Planned, model, true);
+    let counter = |svc: &ServeSession, name: &str| svc.metrics().counter(name).get();
+    let samples = |svc: &ServeSession, name: &str| svc.metrics().histogram(name).count();
+
+    // Stall worker 0 (a stall holds no gauge slot) and admit the batch
+    // behind it: the pool is no longer idle.
+    svc.pool_mut()
+        .inject_fault(0, WorkerFault::Stall(Duration::from_millis(200)));
+    let pending = svc.enqueue(&batch).expect("blocking admission");
+    assert!(!svc.pool().idle());
+    let behind = svc.submit(&short.terms, 10).expect("blocking admission");
+    assert_eq!(
+        counter(&svc, "serve.caller_runs"),
+        0,
+        "a busy pool must not run the query in the caller"
+    );
+    assert_eq!(
+        svc.pool().queue_high_water(),
+        2,
+        "the solo call queued behind the batch on the stalled worker"
+    );
+    assert!(svc.pool().queue_high_water() <= svc.pool().queue_bound());
+    let report = svc.collect(pending);
+    for (qi, (q, g)) in batch.iter().zip(report.expect_ok()).enumerate() {
+        assert_eq!(g.top, naive_topn(&c, model, &q.terms, q.n), "batch q{qi}");
+    }
+    assert_eq!(svc.pool().queue_depths(), vec![0, 0]);
+    assert!(svc.pool().idle());
+
+    let (queries_before, query_ns_before, waits_before) = (
+        counter(&svc, "serve.shard_queries"),
+        samples(&svc, "serve.query_ns"),
+        samples(&svc, "serve.queue_wait_ns"),
+    );
+    let idle = svc.submit(&short.terms, 10).expect("caller-runs");
+    assert_eq!(
+        counter(&svc, "serve.caller_runs"),
+        1,
+        "only the idle-pool call runs in the caller"
+    );
+    assert_eq!(svc.pool().queue_depths(), vec![0, 0]);
+    assert!(svc.pool().queue_high_water() <= svc.pool().queue_bound());
+    let oracle = naive_topn(&c, model, &short.terms, 10);
+    assert_eq!(behind.top, oracle, "pool-path solo != naive oracle");
+    assert_eq!(idle.top, oracle, "caller-run solo != naive oracle");
+
+    // Telemetry: one execution per shard, counted like a worker's, with
+    // no queue-wait sample and no queue-wait span.
+    assert_eq!(counter(&svc, "serve.shard_queries"), queries_before + 2);
+    assert_eq!(samples(&svc, "serve.query_ns"), query_ns_before + 2);
+    assert_eq!(samples(&svc, "serve.queue_wait_ns"), waits_before);
+    let traces = svc.traces();
+    for shard in 0..2u32 {
+        let last = traces
+            .iter()
+            .rev()
+            .find(|t| t.shard == shard)
+            .expect("every shard recorded a trace");
+        assert!(
+            last.spans().iter().all(|s| s.phase != Phase::QueueWait),
+            "shard {shard}: a caller-run trace has no queue wait"
+        );
+    }
+    let slow: Vec<_> = svc
+        .drain_slow_queries()
+        .into_iter()
+        .filter(|s| s.terms == short.terms)
+        .collect();
+    let queued =
+        |s: &moa_serve::SlowQuery| s.trace.spans().iter().any(|p| p.phase == Phase::QueueWait);
+    assert_eq!(
+        slow.len(),
+        4,
+        "both solo calls reach the slow log per shard"
+    );
+    assert_eq!(slow.iter().filter(|s| queued(s)).count(), 2);
+    assert_eq!(svc.stats().queries_served, batch.len() + 2);
 }
 
 #[test]
