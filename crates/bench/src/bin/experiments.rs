@@ -39,6 +39,11 @@ fn main() {
     };
 
     let scale = Scale::from_full_flag(full);
+    let Some(tables) = experiments::run(&id, scale) else {
+        eprintln!("unknown experiment: {id}");
+        print_usage();
+        std::process::exit(2);
+    };
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
     writeln!(
@@ -46,7 +51,7 @@ fn main() {
         "# Moa top-N reproduction — experiment {id} at {scale:?} scale"
     )
     .expect("stdout");
-    for table in experiments::run(&id, scale) {
+    for table in tables {
         let text = if csv { table.to_csv() } else { table.render() };
         writeln!(lock, "{text}").expect("stdout");
     }

@@ -1,4 +1,4 @@
-//! Experiment implementations E1–E10.
+//! Experiment implementations E1–E21.
 //!
 //! | id  | paper anchor                                                | module |
 //! |-----|-------------------------------------------------------------|--------|
@@ -49,42 +49,55 @@ pub mod fixture;
 
 use crate::harness::{Scale, Table};
 
-/// Run one experiment by id ("e1" … "e20"), or all of them.
-pub fn run(id: &str, scale: Scale) -> Vec<Table> {
-    match id {
-        "e1" => vec![e1::run(scale)],
-        "e2" => vec![e2::run(scale)],
-        "e3" => vec![e3::run(scale)],
-        "e4" => vec![e4::run(scale)],
-        "e5" => vec![e5::run(scale)],
-        "e6" => vec![e6::run(scale)],
-        "e7" => vec![e7::run(scale)],
-        "e8" => vec![e8::run(scale)],
-        "e9" => vec![e9::run(scale)],
-        "e10" => vec![e10::run(scale)],
-        "e11" => vec![e11::run(scale)],
-        "e12" => vec![e12::run(scale)],
-        "e13" => vec![e13::run(scale)],
-        "e14" => vec![e14::run(scale)],
-        "e15" => vec![e15::run(scale)],
-        "e16" => vec![e16::run(scale)],
-        "e17" => vec![e17::run(scale)],
-        "e18" => vec![e18::run(scale)],
-        "e19" => vec![e19::run(scale)],
-        "e20" => vec![e20::run(scale)],
-        "e21" => vec![e21::run(scale)],
-        "all" => {
-            let ids = [
-                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21",
-            ];
-            ids.iter().flat_map(|i| run(i, scale)).collect()
+/// One experiment's entry point.
+type Experiment = fn(Scale) -> Table;
+
+/// Every experiment by id, in the order "all" runs them.
+const EXPERIMENTS: [(&str, Experiment); 21] = [
+    ("e1", e1::run),
+    ("e2", e2::run),
+    ("e3", e3::run),
+    ("e4", e4::run),
+    ("e5", e5::run),
+    ("e6", e6::run),
+    ("e7", e7::run),
+    ("e8", e8::run),
+    ("e9", e9::run),
+    ("e10", e10::run),
+    ("e11", e11::run),
+    ("e12", e12::run),
+    ("e13", e13::run),
+    ("e14", e14::run),
+    ("e15", e15::run),
+    ("e16", e16::run),
+    ("e17", e17::run),
+    ("e18", e18::run),
+    ("e19", e19::run),
+    ("e20", e20::run),
+    ("e21", e21::run),
+];
+
+/// Run one experiment by id ("e1" … "e21"), or all of them with "all".
+/// `None` for an unknown id — a usage error, so a mistyped id can never
+/// pass for a run.
+pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
+    if id == "all" {
+        return Some(EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect());
+    }
+    EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .map(|(_, run)| vec![run(scale)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_ids_are_rejected_without_running_anything() {
+        for id in ["e99", "e0", "", "E1", "e1 ", "al"] {
+            assert!(run(id, Scale::Quick).is_none(), "{id:?} accepted");
         }
-        other => vec![{
-            let mut t = Table::new("unknown experiment", &["id"]);
-            t.row(vec![other.to_owned()]);
-            t.note("known ids: e1..e21, all");
-            t
-        }],
     }
 }

@@ -20,46 +20,76 @@
 //!    *non-essential*: their cursors are never merged, only `seek`-ed
 //!    (header binary search + single-block unpack on the block-compressed
 //!    storage of [`crate::blocks`]),
-//! 3. a document whose partial score plus the remaining bound cannot enter
-//!    the heap is abandoned early (`bound_exits`).
+//! 3. a document whose bound cannot enter the heap is abandoned before
+//!    any weight of it is computed (`bound_exits`).
+//!
+//! The kernel runs in two phases. **Phase 1** is a plain cursor merge that
+//! fills the heap (no bound can prune while it has room). **Phase 2** — the
+//! pruned scan — is *window-at-a-time*, the set-based idea applied inside
+//! the element-at-a-time engine: it takes [`WINDOW`] document ids at a
+//! time, starting at the smallest essential cursor, in four steps:
+//!
+//! * **sync** — once per window: publish the local N-th score to the
+//!   cross-engine gate if it rose, poll the deadline (one clock read), and
+//!   grow the non-essential prefix;
+//! * **window gate** — the window's bound is, per essential term, the
+//!   largest block maximum among the term's blocks overlapping the window,
+//!   plus the non-essential prefix bound; if it cannot enter the heap,
+//!   every essential cursor seeks past the window and nothing is decoded;
+//! * **pass 1** — bulk-decode the essential terms' blocks overlapping the
+//!   window into *lanes*: per term a tf lane and a presence-bit lane (so
+//!   stale tfs never need zeroing), and one shared lane summing each
+//!   document's mini-block bounds;
+//! * **pass 2** — walk the set bits in document order: test each
+//!   candidate's lane bound plus the *per-block* (shallow) maxima of the
+//!   non-essential terms at that document, then compute the exact weights,
+//!   probe the non-essential terms strongest-first, re-sum in query order
+//!   and offer the heap.
 //!
 //! The pruning metadata is **colocated with the storage**: each
 //! 128-posting storage block has one [`crate::scorer::BlockBound`]
 //! (`last_doc` + exact block-max score + eight 4-bit quantized mini-block
-//! maxima) in a contiguous per-term array, so a skip decision costs one
-//! 16-byte load — and a rejected block's packed payload is never decoded
-//! at all. A block gate that *passes* is refined against the candidates'
-//! 16-entry mini-block maxima (nibbles riding in the same 16 bytes)
-//! before any scoring happens, which keeps gates discriminating on long
-//! runs where whole-block maxima approach the term maxima. Term
-//! frequencies decode lazily at mini-block granularity, so even a
-//! *scored* candidate inside a block whose siblings were pruned pays only
-//! the block's doc half plus one 16-entry tf decode.
+//! maxima) in a contiguous per-term array, so a window gate reads a few
+//! 16-byte records per term — and a rejected window's packed payload is
+//! never decoded at all. The mini-block maxima become the candidates' lane
+//! bounds, which stay discriminating on long runs where whole-block maxima
+//! approach the term maxima.
 //!
 //! Results are **bit-exact** with the exhaustive merge
 //! ([`DaatSearcher::search_exhaustive`]) and with the set-at-a-time
 //! evaluator: per-document contributions are summed in original query-term
 //! order, and all paths share the [`crate::scorer::ScoreKernel`] so every
 //! weight is the identical `f64`. Only the work differs — `postings_scanned`
-//! shrinks, `docs_skipped`/`seeks`/`bound_exits` account for the saving.
+//! (postings whose weight was computed) shrinks, and every other posting of
+//! the query's runs is counted in `docs_skipped`.
 //!
 //! The `_into` entry points ([`DaatSearcher::search_into`],
 //! [`DaatSearcher::search_exhaustive_into`]) run on a caller-owned
 //! [`QueryScratch`] and leave the ranking in `scratch.out`: after the
 //! first query at a given shape they perform **zero heap allocations**
-//! (see `crates/ir/tests/alloc_steady_state.rs`).
+//! (see `crates/ir/tests/alloc_steady_state.rs`); the window lanes grow
+//! on the first window a shape decodes and are kept.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use moa_obs::Phase;
+use moa_topn::TopNHeap;
 
+use crate::blocks::{CursorBuf, CursorPos, TermView, MINI_LEN};
 use crate::error::Result;
 use crate::index::InvertedIndex;
 use crate::ranking::RankingModel;
 use crate::scorer::{BlockBound, ScoreBounds, ScoreKernel};
-use crate::scratch::{QueryScratch, TermMeta};
+use crate::scratch::{NeBound, QueryScratch, TermMeta};
 use crate::threshold::BoundGate;
+
+/// Document ids per window of the pruned phase. A window's lanes are
+/// `WINDOW` term frequencies (4 bytes each) per query term plus one shared
+/// bound lane (8 bytes per id) — about 128 KiB for a six-term query, so
+/// they stay in L2 — and 4096 ids span dozens of blocks of a frequent
+/// term, so the per-window sync is paid once per hundreds of postings.
+pub const WINDOW: usize = 4096;
 
 /// Work counters of one document-at-a-time evaluation (results live in
 /// the scratch's `out` buffer on the `_into` paths).
@@ -142,25 +172,139 @@ pub struct DaatSearcher<'a> {
     bounds: Arc<OnceLock<ScoreBounds>>,
 }
 
-/// Block-bound of term `meta`'s current block — the one-cache-line skip
-/// record (valid only while the cursor is not exhausted).
-#[inline]
-fn local_bound(bounds: &ScoreBounds, meta: &TermMeta, block: usize) -> BlockBound {
-    bounds.at(meta.bounds_start as usize + block)
+/// The document ids `lo .. end` one phase-2 window covers.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    lo: u32,
+    end: u32,
 }
 
-/// Block-max bound on `meta`'s contribution to `target`, found by a
-/// *shallow* block-boundary search from the cursor's current block (no
-/// posting is decoded and the cursor does not move). 0.0 when the run is
-/// exhausted before `target`.
-#[inline]
-fn shallow_bound(bounds: &ScoreBounds, meta: &TermMeta, block: usize, target: u32) -> f64 {
-    let bb = bounds.slice(meta.bounds_start, meta.bounds_len);
-    if block >= bb.len() {
-        return 0.0;
+/// One essential term's tf and presence-bit lanes for the current window,
+/// and the shared bound lane.
+struct TermLanes<'l> {
+    tfs: &'l mut [u32],
+    bits: &'l mut [u64],
+    bound: &'l mut [f64],
+}
+
+/// The bit and bound lanes of the current window. Both are all zero
+/// between windows — pass 2 clears every word and slot it reads — and if
+/// a panic unwinds out of a window (the serving layer catches it and keeps
+/// serving from the same scratch), dropping the guard restores that.
+struct WindowLanes<'l> {
+    bits: &'l mut [u64],
+    bound: &'l mut [f64],
+}
+
+impl Drop for WindowLanes<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.bits.fill(0);
+            self.bound.fill(0.0);
+        }
     }
-    let k = block + bb[block..].partition_point(|b| b.last_doc < target);
-    bb.get(k).map_or(0.0, |b| b.max_score)
+}
+
+/// Whether a document with score upper bound `bound` could still enter
+/// the local heap (`doc` breaks ties) and the global top-N the gate
+/// tracks.
+#[inline]
+fn can_enter(heap: &TopNHeap, gate: &BoundGate, bound: f64, doc: u32) -> bool {
+    heap.would_enter(bound, doc) && gate.admits(bound)
+}
+
+/// Offer the heap's N-th score to the cross-engine gate if it rose since
+/// the last offer, `published`.
+fn publish_risen(heap: &TopNHeap, gate: &BoundGate, published: &mut f64) {
+    if let Some(t) = heap.threshold() {
+        if t > *published {
+            gate.publish(heap);
+            *published = t;
+        }
+    }
+}
+
+/// Grow a lane to at least `len` zeroed slots; lanes never shrink.
+fn grow<T: Copy + Default>(lane: &mut Vec<T>, len: usize) {
+    if lane.len() < len {
+        lane.resize(len, T::default());
+    }
+}
+
+/// The largest block maximum among a term's blocks that overlap the window,
+/// from the cursor's block `block` on (the caller checked that the cursor
+/// is inside the window). Only header and bound records are read; nothing
+/// is decoded.
+fn window_max(view: &TermView<'_>, bb: &[BlockBound], block: usize, end: u32) -> f64 {
+    let headers = view.headers();
+    let mut best = bb[block].max_score;
+    let mut k = block + 1;
+    while k < headers.len() && headers[k].first_doc < end {
+        best = best.max(bb[k].max_score);
+        k += 1;
+    }
+    best
+}
+
+/// Pass 1 for one essential term: bulk-decode every block of its run that
+/// overlaps the window from the cursor on, and record each in-window
+/// posting in the lanes — presence bit, tf, and its mini-block bound added
+/// to the shared bound lane. Leaves the cursor on the first posting at or
+/// past the window's end; the block it stops inside stays decoded (doc
+/// ids and every tf mini-block), so the next window reuses it. Returns
+/// the postings consumed and a mask of the bit-lane words written (bit
+/// `w` for word `w`), so pass 2 visits only those: a sparse window costs
+/// its postings, not its width.
+fn fill_lanes(
+    view: &TermView<'_>,
+    bb: &[BlockBound],
+    pos: &mut CursorPos,
+    buf: &mut CursorBuf,
+    win: Window,
+    lanes: TermLanes<'_>,
+) -> (usize, u64) {
+    let headers = view.headers();
+    let start = pos.base + pos.idx;
+    let mut words = 0u64;
+    while let Some(h) = headers.get(pos.block) {
+        if pos.idx == 0 && h.first_doc >= win.end {
+            break;
+        }
+        if !pos.docs_ready {
+            view.decode_docs(pos.block, buf);
+            pos.docs_ready = true;
+        }
+        if pos.tf_ready != u8::MAX {
+            view.decode_tfs(pos.block, buf);
+            pos.tf_ready = u8::MAX;
+        }
+        let len = usize::from(h.len);
+        let b = bb[pos.block];
+        // A linear walk: a sparse window holds a posting or two of a block.
+        let mut k = pos.idx;
+        let mut mini = (usize::MAX, 0.0f64);
+        while k < len && buf.docs[k] < win.end {
+            if k / MINI_LEN != mini.0 {
+                mini = (k / MINI_LEN, b.mini_bound(k));
+            }
+            let o = (buf.docs[k] - win.lo) as usize;
+            lanes.bits[o / 64] |= 1 << (o % 64);
+            lanes.tfs[o] = buf.tfs[k];
+            lanes.bound[o] += mini.1;
+            words |= 1 << (o / 64);
+            k += 1;
+        }
+        if k < len {
+            pos.idx = k;
+            break;
+        }
+        pos.base += len;
+        pos.block += 1;
+        pos.idx = 0;
+        pos.docs_ready = false;
+        pos.tf_ready = 0;
+    }
+    (pos.base + pos.idx - start, words)
 }
 
 impl<'a> DaatSearcher<'a> {
@@ -234,6 +378,22 @@ impl<'a> DaatSearcher<'a> {
         gate: &BoundGate,
         scratch: &mut QueryScratch,
     ) -> Result<DaatStats> {
+        self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
+    }
+
+    /// [`DaatSearcher::search_into`] with the phase-2 window width `W` as a
+    /// parameter and a hook called at the start of every window sync. The
+    /// production kernel is `W = WINDOW` with an empty hook; the unit tests
+    /// run narrow windows so small fixtures cross many window boundaries,
+    /// and expire deadlines from the hook.
+    fn search_windowed<const W: usize>(
+        &self,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+        mut on_sync: impl FnMut(),
+    ) -> Result<DaatStats> {
         // Stage clocks: one `Instant` read per stage *boundary* — setup
         // (gate pass), warm-up merge (decode), pruned scan (score), heap
         // drain (merge) — never inside the per-posting loops, so the
@@ -250,15 +410,10 @@ impl<'a> DaatSearcher<'a> {
             cur,
             contrib,
             prefix_bound,
-            matching,
-            match_bound,
-            suffix_bound,
-            ne_prefix,
             heap,
-            out,
             phases,
             ..
-        } = scratch;
+        } = &mut *scratch;
 
         for (qpos, &t) in terms.iter().enumerate() {
             let df = self.index.df(t)?;
@@ -314,7 +469,7 @@ impl<'a> DaatSearcher<'a> {
         // bounds-pruned scan takes over (it handles an under-full heap
         // fine: `would_enter` admits everything until capacity, and the
         // gate prunes off the propagated threshold from the very next
-        // posting).
+        // window).
         while !heap.is_full() && m > 0 && !gate.has_signal() {
             // Deadline poll at the candidate boundary: truncation only —
             // every score already in the heap is exact.
@@ -348,278 +503,270 @@ impl<'a> DaatSearcher<'a> {
             gate.publish(heap);
             contrib.fill(0.0);
         }
+        phases.add(Phase::Decode, t_decode.elapsed());
+
+        let t_score = Instant::now();
+        self.pruned_windows::<W>(scratch, gate, &mut stats, &mut on_sync);
+        scratch.phases.add(Phase::Score, t_score.elapsed());
+
+        let t_merge = Instant::now();
+        stats.candidates = scratch.heap.pushes();
+        scratch.heap.extract_sorted_into(&mut scratch.out);
+        scratch.phases.add(Phase::Merge, t_merge.elapsed());
+        Ok(stats)
+    }
+
+    /// Phase 2 — the bounds-pruned scan, one window of `W` document ids at
+    /// a time: sync, window gate, pass 1 (lanes), pass 2 (candidates in
+    /// document order); see the module docs. Deadline expiry is observed
+    /// only at a sync, so a truncated query has evaluated whole windows.
+    fn pruned_windows<const W: usize>(
+        &self,
+        scratch: &mut QueryScratch,
+        gate: &BoundGate,
+        stats: &mut DaatStats,
+        on_sync: &mut impl FnMut(),
+    ) {
+        // One u64 summarizes which of the W / 64 bit-lane words are in use.
+        const { assert!(W > 0 && W.is_multiple_of(64) && W <= 64 * 64) };
+        let words = W / 64;
+        let bounds = self.bounds();
+        let blocks = self.index.blocks();
+        let QueryScratch {
+            metas,
+            pos,
+            bufs,
+            cur,
+            contrib,
+            prefix_bound,
+            ne,
+            lane_tf,
+            lane_bits,
+            lane_bound,
+            heap,
+            ..
+        } = scratch;
+        let m = metas.len();
+        let deadline = gate.deadline();
+        // Phase 1 published after every push, so the threshold it left is
+        // already out.
+        let mut published = heap.threshold().unwrap_or(f64::NEG_INFINITY);
         // Terms [0, first_essential) are non-essential: their cumulative
         // bound cannot enter the heap, so no document found *only* there
         // can make the top-N. Doc id 0 is the most favorable tie-break, so
         // using it keeps the partition conservative for every document.
         let mut first_essential = 0usize;
-        while first_essential < m
-            && !(heap.would_enter(prefix_bound[first_essential + 1], 0)
-                && gate.admits(prefix_bound[first_essential + 1]))
-        {
-            first_essential += 1;
-        }
-        phases.add(Phase::Decode, t_decode.elapsed());
-        let t_score = Instant::now();
-
-        // Phase 2 — bounds-pruned scan.
         loop {
-            // Deadline poll at the candidate boundary (phase 1 may have
-            // already observed expiry; never start phase 2 then).
-            if stats.timed_out || gate.expired() {
+            // Sync. Publishing once per window rather than per push is
+            // sound: a peer that reads a stale threshold only prunes less.
+            // Expiry truncates between windows (phase 1 may already have
+            // observed it).
+            on_sync();
+            if stats.timed_out || deadline.is_some_and(|d| d.poll_now()) {
                 stats.timed_out = true;
                 break;
             }
-            if first_essential >= m && m > 0 {
-                // No remaining document can enter the heap at all.
+            publish_risen(heap, gate, &mut published);
+            while first_essential < m
+                && !can_enter(heap, gate, prefix_bound[first_essential + 1], 0)
+            {
+                first_essential += 1;
+            }
+            let fe = first_essential;
+            // The window starts at the smallest essential cursor (no term
+            // essential, or all essential cursors exhausted: done).
+            let lo = cur[fe..].iter().copied().min().unwrap_or(u32::MAX);
+            if lo == u32::MAX {
                 break;
             }
+            let win = Window {
+                lo,
+                end: lo.saturating_add(W as u32),
+            };
 
-            // The next candidate is the minimum current doc across the
-            // essential cursors.
-            let next_doc = cur[first_essential..]
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(u32::MAX);
-            if next_doc == u32::MAX {
-                break; // all essential cursors exhausted
-            }
-
-            // Cheap first gate: matching cursors' current-block maxima
-            // plus the *global* bound of the non-essential prefix. Each
-            // matching term contributes one 16-byte BlockBound load —
-            // last_doc and max_score together. Most candidates match only
-            // weak terms and die here, and because the same bound holds
-            // for every document up to the matching blocks' boundaries
-            // (capped by the non-matching essential cursors' current
-            // documents, whose arrival would change the matching set), the
-            // whole storage-block range is skipped in one seek per cursor
-            // without decoding any rejected block (Ding–Suel style).
-            let mut gate_bound = prefix_bound[first_essential];
-            let mut refined = prefix_bound[first_essential];
-            let mut skip_to = u32::MAX;
-            let mut nonmatch_cap = u32::MAX;
-            matching.clear();
-            match_bound.clear();
-            for i in first_essential..m {
-                let d = cur[i];
-                if d == next_doc {
-                    let b = local_bound(bounds, &metas[i], pos[i].block);
-                    gate_bound += b.max_score;
-                    skip_to = skip_to.min(b.last_doc.saturating_add(1));
-                    matching.push(i);
-                    // The mini bound costs one nibble extraction while the
-                    // 16-byte record is still in registers; caching it here
-                    // spares the refined gate and suffix sums a reload.
-                    let mb = b.mini_bound(pos[i].idx);
-                    refined += mb;
-                    match_bound.push(mb);
-                } else {
-                    nonmatch_cap = nonmatch_cap.min(d);
+            // Window gate: per essential term the largest block maximum
+            // overlapping the window, plus the non-essential prefix bound.
+            // A failure moves each essential cursor past the window with
+            // one seek, decoding nothing it skips.
+            let mut bound = prefix_bound[fe];
+            for i in fe..m {
+                if cur[i] < win.end {
+                    let bb = bounds.slice(metas[i].bounds_start, metas[i].bounds_len);
+                    let view = blocks.view(metas[i].term);
+                    bound += window_max(&view, bb, pos[i].block, win.end);
                 }
             }
-            skip_to = skip_to.min(nonmatch_cap);
-            if !(heap.would_enter(gate_bound, next_doc) && gate.admits(gate_bound)) {
+            if !can_enter(heap, gate, bound, win.lo) {
                 stats.bound_exits += 1;
-                let single_step = skip_to == next_doc.saturating_add(1);
-                for &i in matching.iter() {
-                    let view = blocks.view(metas[i].term);
-                    if single_step {
-                        // The posting after the current one is already
-                        // >= skip_to: a plain advance beats a seek.
-                        view.advance(&mut pos[i], &mut bufs[i]);
-                        stats.cursor_advances += 1;
-                        stats.docs_skipped += 1;
-                    } else {
+                for i in fe..m {
+                    if cur[i] < win.end {
+                        let view = blocks.view(metas[i].term);
                         stats.seeks += 1;
-                        stats.docs_skipped += view.seek(&mut pos[i], &mut bufs[i], skip_to);
-                    }
-                    cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
-                }
-                continue;
-            }
-
-            // Mini-block refinement of the passed block gate: the same
-            // matching terms, each bounded by its cursor's 16-entry
-            // mini-block maximum — one 4-bit nibble dequantized while the
-            // BlockBound was in registers above, so the refined check
-            // costs one compare. On long runs the 128-entry block maxima
-            // approach the term maxima and stop discriminating; the mini
-            // bounds stay tight. The refined bound holds only for *this*
-            // candidate (other documents of the block may sit in stronger
-            // mini-blocks), so a failure advances one posting instead of
-            // skipping to the block horizon.
-            if !(heap.would_enter(refined, next_doc) && gate.admits(refined)) {
-                stats.bound_exits += 1;
-                for &i in matching.iter() {
-                    let view = blocks.view(metas[i].term);
-                    view.advance(&mut pos[i], &mut bufs[i]);
-                    cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
-                    stats.cursor_advances += 1;
-                    stats.docs_skipped += 1;
-                }
-                continue;
-            }
-
-            // Strongest bound first for scoring (descending, i.e. reverse
-            // of the ascending gate order). `match_bound` stays parallel.
-            matching.reverse();
-            match_bound.reverse();
-
-            // Fast path for the single-source candidate with nothing
-            // non-essential to probe: its score is one weight, so skip
-            // the suffix/probe machinery and push directly (0.0 + w is
-            // bit-identical to the exhaustive merge's sum).
-            if first_essential == 0 && matching.len() == 1 {
-                let i = matching[0];
-                let meta = metas[i];
-                let view = blocks.view(meta.term);
-                let tf = view.tf_at(&mut pos[i], &mut bufs[i]);
-                let w = self.kernel.weight(&meta.scorer, tf, next_doc);
-                view.advance(&mut pos[i], &mut bufs[i]);
-                cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
-                stats.postings_scanned += 1;
-                stats.cursor_advances += 1;
-                heap.push(next_doc, w);
-                gate.publish(heap);
-                while first_essential < m
-                    && !(heap.would_enter(prefix_bound[first_essential + 1], 0)
-                        && gate.admits(prefix_bound[first_essential + 1]))
-                {
-                    first_essential += 1;
-                }
-                continue;
-            }
-            // Non-essential block-max bounds for this candidate, found by
-            // shallow block-boundary searches (cursors do not move, no
-            // payload is decoded). ne_prefix[j + 1] = the most
-            // non-essential terms 0..=j can add to `next_doc`.
-            ne_prefix.clear();
-            ne_prefix.push(0.0);
-            for j in 0..first_essential {
-                let b = ne_prefix[j] + shallow_bound(bounds, &metas[j], pos[j].block, next_doc);
-                ne_prefix.push(b);
-            }
-            let ne_total = ne_prefix[first_essential];
-            // suffix_bound[k] = the most that matching cursors k.. plus
-            // every non-essential term can still add — mini-block refined
-            // local bounds (each matching cursor sits *at* this candidate,
-            // so its contribution is bounded by its current mini-block),
-            // built by exact summation (no subtractive drift) so the
-            // pruning bound is never below the true remainder.
-            suffix_bound.resize(matching.len() + 1, 0.0);
-            suffix_bound[matching.len()] = ne_total;
-            for k in (0..matching.len()).rev() {
-                suffix_bound[k] = suffix_bound[k + 1] + match_bound[k];
-            }
-
-            // Second gate: same matching bounds but with the non-essential
-            // part tightened from the global prefix to shallow block
-            // maxima at `next_doc`.
-            if !(heap.would_enter(suffix_bound[0], next_doc) && gate.admits(suffix_bound[0])) {
-                stats.bound_exits += 1;
-                for &i in matching.iter() {
-                    let view = blocks.view(metas[i].term);
-                    view.advance(&mut pos[i], &mut bufs[i]);
-                    cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
-                    stats.cursor_advances += 1;
-                    stats.docs_skipped += 1;
-                }
-                continue;
-            }
-
-            // Score strongest-first, shrinking the remaining bound with
-            // each actual weight so hopeless documents are abandoned
-            // mid-scoring.
-            let mut partial = 0.0f64;
-            let mut abandoned = false;
-            for k in 0..matching.len() {
-                let i = matching[k];
-                let meta = metas[i];
-                let view = blocks.view(meta.term);
-                if abandoned {
-                    view.advance(&mut pos[i], &mut bufs[i]);
-                    stats.cursor_advances += 1;
-                    stats.docs_skipped += 1;
-                } else {
-                    let tf = view.tf_at(&mut pos[i], &mut bufs[i]);
-                    let w = self.kernel.weight(&meta.scorer, tf, next_doc);
-                    contrib[meta.qpos as usize] = w;
-                    partial += w;
-                    view.advance(&mut pos[i], &mut bufs[i]);
-                    stats.postings_scanned += 1;
-                    stats.cursor_advances += 1;
-                    let rest = partial + suffix_bound[k + 1];
-                    if !(heap.would_enter(rest, next_doc) && gate.admits(rest)) {
-                        stats.bound_exits += 1;
-                        abandoned = true;
+                        stats.docs_skipped += view.seek(&mut pos[i], &mut bufs[i], win.end);
+                        cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
                     }
                 }
+                continue;
+            }
+
+            // Pass 1 — the essential terms' in-window postings into the
+            // lanes.
+            grow(lane_tf, m * W);
+            grow(lane_bits, m * words);
+            grow(lane_bound, W);
+            let lanes = WindowLanes {
+                bits: lane_bits,
+                bound: lane_bound,
+            };
+            let mut consumed = 0usize;
+            let mut occupied = 0u64;
+            for i in fe..m {
+                if cur[i] >= win.end {
+                    continue;
+                }
+                let view = blocks.view(metas[i].term);
+                let term_lanes = TermLanes {
+                    tfs: &mut lane_tf[i * W..(i + 1) * W],
+                    bits: &mut lanes.bits[i * words..(i + 1) * words],
+                    bound: &mut *lanes.bound,
+                };
+                let bb = bounds.slice(metas[i].bounds_start, metas[i].bounds_len);
+                let (postings, words) =
+                    fill_lanes(&view, bb, &mut pos[i], &mut bufs[i], win, term_lanes);
+                consumed += postings;
+                occupied |= words;
                 cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
             }
+            stats.cursor_advances += consumed;
 
-            // Probe the non-essential terms, strongest bound first, bailing
-            // out as soon as the remaining bound cannot reach the heap.
-            let mut completed = !abandoned;
-            if completed {
-                for j in (0..first_essential).rev() {
-                    let rest = partial + ne_prefix[j + 1];
-                    if !(heap.would_enter(rest, next_doc) && gate.admits(rest)) {
+            // Pass 2 — candidates in document order. Each non-essential
+            // term keeps a shallow pointer to the block whose maximum
+            // bounds its contribution to the current candidate (the cursor
+            // itself only moves on a probe).
+            ne.clear();
+            for j in 0..fe {
+                let bb = bounds.slice(metas[j].bounds_start, metas[j].bounds_len);
+                let b = pos[j].block.min(bb.len());
+                ne.push(NeBound {
+                    block: b + bb[b..].partition_point(|x| x.last_doc < win.lo),
+                    prefix: 0.0,
+                });
+            }
+            let mut scanned = 0usize;
+            while occupied != 0 {
+                let w = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                let mut live = 0u64;
+                for i in fe..m {
+                    live |= lanes.bits[i * words + w];
+                }
+                while live != 0 {
+                    let bit = live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    let o = w * 64 + bit;
+                    let doc = win.lo + o as u32;
+                    let local = std::mem::take(&mut lanes.bound[o]);
+                    // The global non-essential bound first: shallow maxima
+                    // are never larger, so a document it rejects needs no
+                    // shallow search.
+                    if fe > 0 && !can_enter(heap, gate, local + prefix_bound[fe], doc) {
                         stats.bound_exits += 1;
-                        completed = false;
-                        break;
+                        continue;
                     }
-                    let meta = metas[j];
-                    let view = blocks.view(meta.term);
-                    stats.seeks += 1;
-                    stats.docs_skipped += view.seek(&mut pos[j], &mut bufs[j], next_doc);
-                    if view.doc_at(&pos[j], &bufs[j]) == Some(next_doc) {
-                        let tf = view.tf_at(&mut pos[j], &mut bufs[j]);
-                        let w = self.kernel.weight(&meta.scorer, tf, next_doc);
-                        contrib[meta.qpos as usize] = w;
-                        partial += w;
-                        view.advance(&mut pos[j], &mut bufs[j]);
-                        stats.postings_scanned += 1;
-                        stats.cursor_advances += 1;
+                    let mut ne_total = 0.0f64;
+                    for j in 0..fe {
+                        let bb = bounds.slice(metas[j].bounds_start, metas[j].bounds_len);
+                        let k = &mut ne[j].block;
+                        while *k < bb.len() && bb[*k].last_doc < doc {
+                            *k += 1;
+                        }
+                        ne_total += bb.get(*k).map_or(0.0, |b| b.max_score);
+                        ne[j].prefix = ne_total;
                     }
-                    cur[j] = view.doc_at(&pos[j], &bufs[j]).unwrap_or(u32::MAX);
-                }
-            }
+                    if !can_enter(heap, gate, local + ne_total, doc) {
+                        stats.bound_exits += 1;
+                        continue;
+                    }
 
-            if completed {
-                // Re-sum in original query order: identical floating-point
-                // addition sequence to the exhaustive/naive paths.
-                let mut score = 0.0f64;
-                for &c in contrib.iter() {
-                    score += c;
+                    // Exact weights of the essential postings, strongest
+                    // bound first: the terms present are gathered into a
+                    // mask 64 at a time, so the walk does not branch on
+                    // each term's bit.
+                    let mut partial = 0.0f64;
+                    let mut top = m;
+                    while top > fe {
+                        let base = top.saturating_sub(64).max(fe);
+                        let mut present = 0u64;
+                        for i in base..top {
+                            present |= ((lanes.bits[i * words + w] >> bit) & 1) << (i - base);
+                        }
+                        while present != 0 {
+                            let at = 63 - present.leading_zeros() as usize;
+                            present &= !(1 << at);
+                            let i = base + at;
+                            let meta = &metas[i];
+                            let wt = self.kernel.weight(&meta.scorer, lane_tf[i * W + o], doc);
+                            contrib[meta.qpos as usize] = wt;
+                            partial += wt;
+                            scanned += 1;
+                        }
+                        top = base;
+                    }
+
+                    // Probe the non-essential terms, strongest bound first,
+                    // bailing out as soon as the remaining bound cannot
+                    // reach the heap.
+                    let mut completed = true;
+                    for j in (0..fe).rev() {
+                        let rest = partial + ne[j].prefix;
+                        if !can_enter(heap, gate, rest, doc) {
+                            stats.bound_exits += 1;
+                            completed = false;
+                            break;
+                        }
+                        let meta = metas[j];
+                        let view = blocks.view(meta.term);
+                        stats.seeks += 1;
+                        stats.docs_skipped += view.seek(&mut pos[j], &mut bufs[j], doc);
+                        if view.doc_at(&pos[j], &bufs[j]) == Some(doc) {
+                            let tf = view.tf_at(&mut pos[j], &mut bufs[j]);
+                            let wt = self.kernel.weight(&meta.scorer, tf, doc);
+                            contrib[meta.qpos as usize] = wt;
+                            partial += wt;
+                            view.advance(&mut pos[j], &mut bufs[j]);
+                            stats.postings_scanned += 1;
+                            stats.cursor_advances += 1;
+                        }
+                        cur[j] = view.doc_at(&pos[j], &bufs[j]).unwrap_or(u32::MAX);
+                    }
+
+                    if completed {
+                        // Re-sum in original query order: identical
+                        // floating-point addition sequence to the
+                        // exhaustive/naive paths. Clearing rides along.
+                        let mut score = 0.0f64;
+                        for c in contrib.iter_mut() {
+                            score += std::mem::take(c);
+                        }
+                        heap.push(doc, score);
+                    } else {
+                        contrib.fill(0.0);
+                    }
                 }
-                heap.push(next_doc, score);
-                gate.publish(heap);
-                // The threshold may have tightened: grow the non-essential
-                // prefix (it never shrinks).
-                while first_essential < m
-                    && !(heap.would_enter(prefix_bound[first_essential + 1], 0)
-                        && gate.admits(prefix_bound[first_essential + 1]))
-                {
-                    first_essential += 1;
+                for i in fe..m {
+                    lanes.bits[i * words + w] = 0;
                 }
             }
-            contrib.fill(0.0);
+            stats.postings_scanned += scanned;
+            stats.docs_skipped += consumed - scanned;
         }
+        publish_risen(heap, gate, &mut published);
 
         // Account for the pruned tails so the work ledger balances.
         for i in 0..m {
             let len = blocks.view(metas[i].term).len();
             stats.docs_skipped += len - (pos[i].base + pos[i].idx).min(len);
         }
-        phases.add(Phase::Score, t_score.elapsed());
-
-        let t_merge = Instant::now();
-        stats.candidates = heap.pushes();
-        heap.extract_sorted_into(out);
-        phases.add(Phase::Merge, t_merge.elapsed());
-        Ok(stats)
     }
 
     /// Evaluate a query document-at-a-time with the plain exhaustive
@@ -736,7 +883,10 @@ impl<'a> DaatSearcher<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+    use crate::deadline::DeadlineGate;
     use crate::eval::Searcher;
     use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryConfig};
 
@@ -926,6 +1076,158 @@ mod tests {
         assert_eq!(rep.postings_scanned, 0);
         let volume: usize = q.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
         assert_eq!(rep.docs_skipped, volume);
+    }
+
+    /// The window width of the multi-window tests: every fixture below
+    /// spans many windows of this size, while the production width fits
+    /// each of them in one.
+    const NARROW: usize = 64;
+
+    /// A collection of short documents, long enough for dozens of narrow
+    /// windows, and a query mix with frequent terms so the pruned phase
+    /// does real work.
+    fn multi_window_fixture() -> (InvertedIndex, Vec<Vec<u32>>) {
+        let c = Collection::generate(CollectionConfig {
+            num_docs: 1_500,
+            vocab_size: 800,
+            avg_doc_len: 12,
+            zipf_exponent: 1.1,
+            num_topics: 12,
+            topic_mix: 0.3,
+            seed: 0x0057_1D0E,
+        })
+        .unwrap();
+        let idx = InvertedIndex::from_collection(&c);
+        let queries = generate_queries(
+            &c,
+            &QueryConfig {
+                num_queries: 10,
+                bias: DfBias::TrecLike { high_df_mix: 0.5 },
+                seed: 0x3D0E,
+                ..QueryConfig::default()
+            },
+        )
+        .unwrap();
+        (idx, queries.into_iter().map(|q| q.terms).collect())
+    }
+
+    /// Run the pruned kernel at the narrow width, counting window syncs.
+    fn narrow(
+        daat: &DaatSearcher<'_>,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+    ) -> (DaatStats, usize) {
+        let mut syncs = 0usize;
+        let stats = daat
+            .search_windowed::<NARROW>(terms, n, gate, scratch, || syncs += 1)
+            .unwrap();
+        (stats, syncs)
+    }
+
+    #[test]
+    fn narrow_windows_match_set_at_a_time_and_the_exhaustive_merge() {
+        let (idx, queries) = multi_window_fixture();
+        let mut max_syncs = 0usize;
+        for model in models() {
+            let daat = DaatSearcher::new(&idx, model);
+            let mut saat = Searcher::new(&idx, model);
+            let mut scratch = QueryScratch::new();
+            for terms in &queries {
+                let volume: usize = terms.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
+                for n in [1usize, 10, 100, 1000] {
+                    let (stats, syncs) = narrow(&daat, terms, n, &BoundGate::none(), &mut scratch);
+                    max_syncs = max_syncs.max(syncs);
+                    let ctx = format!("{model:?} {terms:?} n={n}");
+                    assert_eq!(scratch.out, saat.search(terms, n).unwrap().top, "{ctx}");
+                    assert_eq!(
+                        scratch.out,
+                        daat.search_exhaustive(terms, n).unwrap().top,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        stats.postings_scanned + stats.docs_skipped,
+                        volume,
+                        "{ctx}: work ledger"
+                    );
+                    assert!(!stats.timed_out);
+                    // The production width answers the same.
+                    assert_eq!(scratch.out, daat.search(terms, n).unwrap().top, "{ctx}");
+                }
+            }
+        }
+        assert!(
+            max_syncs >= 10,
+            "fixture crossed at most {max_syncs} window syncs"
+        );
+    }
+
+    #[test]
+    fn deadline_at_every_window_sync_yields_exact_partials() {
+        let (idx, queries) = multi_window_fixture();
+        for model in models() {
+            let daat = DaatSearcher::new(&idx, model);
+            let mut saat = Searcher::new(&idx, model);
+            let mut scratch = QueryScratch::new();
+            for terms in queries.iter().take(4) {
+                // Every document's exact score, from the set-at-a-time
+                // evaluator's full ranking.
+                let exact: std::collections::HashMap<u32, f64> = saat
+                    .search(terms, idx.num_docs())
+                    .unwrap()
+                    .top
+                    .into_iter()
+                    .collect();
+                for n in [10usize, 100] {
+                    let (full, syncs) = narrow(&daat, terms, n, &BoundGate::none(), &mut scratch);
+                    let full_top = scratch.out.clone();
+                    for k in 1..=syncs {
+                        let deadline = Arc::new(DeadlineGate::after(Duration::from_secs(3600)));
+                        let gate = BoundGate::none().with_deadline(Arc::clone(&deadline));
+                        let mut seen = 0usize;
+                        let stats = daat
+                            .search_windowed::<NARROW>(terms, n, &gate, &mut scratch, || {
+                                seen += 1;
+                                if seen == k {
+                                    deadline.force_expire();
+                                }
+                            })
+                            .unwrap();
+                        let ctx = format!("{model:?} {terms:?} n={n} expired at sync {k}/{syncs}");
+                        assert!(stats.timed_out, "{ctx}");
+                        assert_eq!(seen, k, "{ctx}: no window after the expired sync");
+                        assert!(stats.postings_scanned <= full.postings_scanned, "{ctx}");
+                        assert!(scratch.out.len() <= full_top.len(), "{ctx}");
+                        for &(doc, score) in &scratch.out {
+                            assert_eq!(score.to_bits(), exact[&doc].to_bits(), "{ctx}: doc {doc}");
+                        }
+                        if k == syncs {
+                            // The last sync follows the last window.
+                            assert_eq!(scratch.out, full_top, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_lanes_are_zeroed_when_a_panic_unwinds_out_of_a_window() {
+        let mut bits = vec![0u64; 4];
+        let mut bound = vec![0.0f64; 8];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let lanes = WindowLanes {
+                bits: &mut bits,
+                bound: &mut bound,
+            };
+            lanes.bits[1] = 0b101;
+            lanes.bound[3] = 1.5;
+            panic!("a window abandoned mid-way");
+        }));
+        assert!(unwound.is_err());
+        assert!(bits.iter().all(|&w| w == 0));
+        assert!(bound.iter().all(|&b| b == 0.0));
     }
 
     #[test]

@@ -83,6 +83,22 @@ impl DeadlineGate {
         false
     }
 
+    /// Poll with a clock read every time — for loops whose iterations are
+    /// long enough (the pruned DAAT kernel's per-window sync) that the
+    /// stride would delay expiry by a whole stride of iterations. Latches
+    /// like [`DeadlineGate::poll`]; not counted in [`DeadlineGate::polls`].
+    #[inline]
+    pub fn poll_now(&self) -> bool {
+        if self.expired.load(Ordering::Relaxed) {
+            return true;
+        }
+        if Instant::now() >= self.deadline {
+            self.expired.store(true, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+
     /// Whether expiry has already been observed (no clock read; a `false`
     /// may lag the wall clock by up to a stride of polls).
     #[inline]
@@ -148,6 +164,23 @@ mod tests {
             }
         }
         assert!(seen, "a past deadline must be observed within one stride");
+    }
+
+    #[test]
+    fn poll_now_reads_the_clock_every_call() {
+        let g = DeadlineGate::after(Duration::from_secs(3600));
+        assert!(!g.poll_now());
+        assert_eq!(g.polls(), 0, "unstrided polls are not stride polls");
+        // Move the stride counter off a clock-read slot: a strided poll
+        // then misses a past deadline, an unstrided one never does.
+        let g = DeadlineGate::at(Instant::now() - Duration::from_millis(1));
+        let _ = g.polls.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            !g.poll(),
+            "a strided poll between clock reads misses expiry"
+        );
+        assert!(g.poll_now());
+        assert!(g.is_expired(), "and it latches");
     }
 
     #[test]

@@ -312,8 +312,8 @@ impl ScoreBounds {
     }
 
     /// A term's `(start, len)` range within the flat bound array — cached
-    /// per query term so the hot gates index with [`ScoreBounds::at`] /
-    /// [`ScoreBounds::slice`] instead of re-resolving the offsets.
+    /// per query term so the hot gates index with [`ScoreBounds::slice`]
+    /// instead of re-resolving the offsets.
     #[inline]
     pub(crate) fn term_range(&self, term: u32) -> (u32, u32) {
         let t = term as usize;
@@ -322,12 +322,6 @@ impl ScoreBounds {
         }
         let s = self.offsets[t];
         (s as u32, (self.offsets[t + 1] - s) as u32)
-    }
-
-    /// One entry of the flat bound array (see [`ScoreBounds::term_range`]).
-    #[inline]
-    pub(crate) fn at(&self, idx: usize) -> BlockBound {
-        self.blocks[idx]
     }
 
     /// A cached range of the flat bound array.

@@ -52,6 +52,19 @@ pub(crate) struct TermMeta {
     pub bounds_len: u32,
 }
 
+/// One non-essential term's *shallow* bound at the pruned kernel's
+/// current candidate: found from the bound records alone, without moving
+/// the term's cursor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NeBound {
+    /// The block whose maximum bounds the term's contribution to the
+    /// candidate (the first block whose last document reaches it).
+    pub block: usize,
+    /// The most this term and every weaker non-essential term can add to
+    /// the candidate: a prefix sum in ascending bound order.
+    pub prefix: f64,
+}
+
 /// The reusable query-execution arena. See the module docs.
 #[derive(Debug)]
 pub struct QueryScratch {
@@ -69,16 +82,20 @@ pub struct QueryScratch {
     pub(crate) contrib: Vec<f64>,
     /// `prefix_bound[k]` = sum of the `k` smallest per-term bounds.
     pub(crate) prefix_bound: Vec<f64>,
-    /// Matching essential cursor indices of the current candidate.
-    pub(crate) matching: Vec<usize>,
-    /// Mini-block-refined local bound of each matching cursor, parallel to
-    /// `matching` — computed once while the gate loads the `BlockBound`,
-    /// reused by the refined gate and the suffix sums without reloading.
-    pub(crate) match_bound: Vec<f64>,
-    /// Exact suffix bounds over the matching cursors.
-    pub(crate) suffix_bound: Vec<f64>,
-    /// Non-essential shallow-bound prefix sums.
-    pub(crate) ne_prefix: Vec<f64>,
+    /// Per non-essential term, its shallow bound at the current candidate.
+    pub(crate) ne: Vec<NeBound>,
+    /// Window lanes of the pruned kernel, term-major: term `i`'s term
+    /// frequencies for window offset `o` at `i * W + o`. Stale between
+    /// windows — only slots whose presence bit is set are ever read.
+    pub(crate) lane_tf: Vec<u32>,
+    /// Presence bits, one `W`-bit lane per term (`W / 64` words at
+    /// `i * W / 64`). All zero between windows: the scoring pass clears
+    /// each word once it has walked it.
+    pub(crate) lane_bits: Vec<u64>,
+    /// Per window offset, the sum of the essential terms' mini-block
+    /// bounds. All zero between windows: the scoring pass takes every slot
+    /// it reads.
+    pub(crate) lane_bound: Vec<f64>,
     /// The reusable top-N heap ([`TopNHeap::reset`] per query).
     pub(crate) heap: TopNHeap,
     /// The current query's results, best first — filled by the `_into`
@@ -110,10 +127,10 @@ impl QueryScratch {
             cur: Vec::new(),
             contrib: Vec::new(),
             prefix_bound: Vec::new(),
-            matching: Vec::new(),
-            match_bound: Vec::new(),
-            suffix_bound: Vec::new(),
-            ne_prefix: Vec::new(),
+            ne: Vec::new(),
+            lane_tf: Vec::new(),
+            lane_bits: Vec::new(),
+            lane_bound: Vec::new(),
             heap: TopNHeap::new(0),
             out: Vec::new(),
             phases: PhaseAgg::new(),
@@ -133,6 +150,15 @@ impl QueryScratch {
         self.queries_begun
     }
 
+    /// Bytes held by the pruned kernel's window lanes. The lanes grow on
+    /// the first window a query shape decodes and never shrink, so this
+    /// figure is monotone over the arena's life.
+    pub fn lane_bytes(&self) -> usize {
+        self.lane_tf.capacity() * std::mem::size_of::<u32>()
+            + self.lane_bits.capacity() * std::mem::size_of::<u64>()
+            + self.lane_bound.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Prepare the per-term arrays for a query of `m` terms: clears the
     /// per-query state and grows the decode-buffer pool if this query is
     /// wider than any seen before.
@@ -144,21 +170,15 @@ impl QueryScratch {
         self.cur.clear();
         self.contrib.clear();
         self.prefix_bound.clear();
-        self.matching.clear();
-        self.match_bound.clear();
-        self.suffix_bound.clear();
-        self.ne_prefix.clear();
+        self.ne.clear();
         if self.bufs.len() < m {
             self.bufs.resize_with(m, CursorBuf::new);
         }
         self.metas.reserve(m);
         self.pos.reserve(m);
         self.cur.reserve(m);
-        self.matching.reserve(m);
-        self.match_bound.reserve(m);
         self.prefix_bound.reserve(m + 1);
-        self.suffix_bound.reserve(m + 1);
-        self.ne_prefix.reserve(m + 1);
+        self.ne.reserve(m);
         self.heap.reset(n);
     }
 }

@@ -7,6 +7,8 @@
 //! lists, the top-N heap, and the result vector are all reused arena
 //! state. A `#[global_allocator]` wrapper counts every allocation and
 //! reallocation; the steady-state phase must leave the counter untouched.
+//! The pruned kernel's window lanes are arena state too: they grow on the
+//! first window a query shape decodes and are kept.
 //!
 //! (This is an integration test so the counting allocator owns the whole
 //! test binary; unit tests in the crate keep the system allocator.)
@@ -15,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryConfig};
+use moa_ir::daat::WINDOW;
 use moa_ir::{BoundGate, DaatSearcher, InvertedIndex, QueryScratch, RankingModel};
 
 struct CountingAlloc;
@@ -163,4 +166,63 @@ fn shrinking_and_regrowing_queries_stay_allocation_free_once_seen() {
         }
     }
     assert_eq!(allocations() - before, 0, "narrower shapes reallocated");
+}
+
+#[test]
+fn multi_window_queries_allocate_nothing_once_the_lanes_have_grown() {
+    // Short documents spanning more than three production windows, so the
+    // pruned phase syncs, gates and decodes window after window.
+    let collection = Collection::generate(CollectionConfig {
+        num_docs: 3 * WINDOW + 1_000,
+        vocab_size: 600,
+        avg_doc_len: 6,
+        zipf_exponent: 1.1,
+        num_topics: 8,
+        topic_mix: 0.3,
+        seed: 0x1A4E5,
+    })
+    .expect("valid config");
+    let index = InvertedIndex::from_collection(&collection);
+    let daat = DaatSearcher::new(&index, RankingModel::default());
+    let gate = BoundGate::none();
+    let mut scratch = QueryScratch::new();
+    let terms = index.terms_by_df_asc();
+    // The most frequent terms: each has postings in every window.
+    let widest: Vec<u32> = terms.iter().rev().take(6).copied().collect();
+    let shapes = [1usize, 3, 6, 2];
+
+    // Growth: the lanes grow with the query width and never shrink.
+    let mut lanes = scratch.lane_bytes();
+    assert_eq!(lanes, 0, "a fresh arena holds no lanes");
+    for &w in &shapes {
+        let _ = daat
+            .search_into(&widest[..w], 100, &gate, &mut scratch)
+            .expect("valid query");
+        assert!(
+            scratch.lane_bytes() >= lanes,
+            "the lanes shrank at width {w}"
+        );
+        lanes = scratch.lane_bytes();
+    }
+    assert!(lanes > 0, "no query decoded a window");
+
+    // Steady state: every shape again, at every depth — no allocation,
+    // and the lanes stay exactly as grown.
+    let before = allocations();
+    let mut checksum = 0usize;
+    for &w in &shapes {
+        for n in [1usize, 10, 100] {
+            let stats = daat
+                .search_into(&widest[..w], n, &gate, &mut scratch)
+                .expect("valid query");
+            checksum += stats.postings_scanned + scratch.out.len();
+            assert_eq!(scratch.lane_bytes(), lanes);
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "multi-window queries allocated in steady state"
+    );
+    assert!(checksum > 0);
 }

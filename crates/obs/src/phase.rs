@@ -27,11 +27,18 @@ pub enum Phase {
     /// Per-shard setup: cursor opening, bound-table resolution, MaxScore
     /// partition — everything before the first candidate is scored.
     GatePass = 3,
-    /// Unpruned posting decode: the warm-up merge that fills the heap
-    /// before bounds can prune (every posting decoded and scored).
+    /// The unpruned merge: in the pruned DAAT kernel, the warm-up merge
+    /// that fills the heap before bounds can prune (postings decoded,
+    /// scored and pushed — heap offers included); in the exhaustive merge,
+    /// the whole evaluation. Not a decode-only clock.
     Decode = 4,
-    /// The bounds-pruned scan: candidate gating and scoring until the
-    /// lists exhaust or the deadline fires.
+    /// All of the pruned DAAT kernel's phase 2, window by window: the
+    /// per-window sync (threshold publication, deadline poll, partition
+    /// growth), window gating and the seeks past rejected windows, lane
+    /// decode, candidate bound tests, non-essential probes, exact scoring
+    /// and heap offers, until the lists exhaust or the deadline fires. It
+    /// does **not** time scoring alone: a large share here says the
+    /// pruned scan is the cost, not that computing weights is.
     Score = 5,
     /// Per-shard result extraction: draining the top-N heap in order.
     Merge = 6,

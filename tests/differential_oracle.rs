@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use moa_core::{Env, Expr, IrRuntime, Planner, Session, Value};
 use moa_corpus::{
-    generate_queries, Collection, CollectionConfig, Correlation, FeatureConfig, FeatureLists,
-    QueryConfig,
+    generate_queries, Collection, CollectionConfig, Correlation, DfBias, FeatureConfig,
+    FeatureLists, QueryConfig,
 };
 use moa_ir::{
     DaatSearcher, EngineSet, FragSearcher, FragmentSpec, FragmentedIndex, InvertedIndex,
@@ -668,6 +668,93 @@ fn sharded_serving_is_bit_identical_to_single_shard_and_the_naive_oracle() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn pruned_daat_across_production_windows_on_two_shards() {
+    // The pruned kernel's phase 2 walks WINDOW document ids at a time;
+    // the fixtures above fit in one window. This collection of short
+    // documents spans more than three windows, and it runs on two range
+    // shards, so each shard crosses window boundaries too. Answers must
+    // stay bit-identical to the naive oracle, and cross-shard threshold
+    // propagation must never scan more than the oblivious run over the
+    // workload (shards run one after another, so the counts are
+    // reproducible). The check is on the workload's total, as E16's is:
+    // query by query a higher threshold can scan more, because it can move
+    // a term to the non-essential side, where its bound at a candidate is
+    // a block maximum rather than its presence in the window's lanes.
+    use moa_ir::daat::WINDOW;
+    use moa_serve::{BatchQuery, ServeMode, ShardSpec, ShardedEngine};
+    let collection = Collection::generate(CollectionConfig {
+        num_docs: 3 * WINDOW + 2_000,
+        vocab_size: 1_500,
+        avg_doc_len: 8,
+        zipf_exponent: 1.1,
+        num_topics: 10,
+        topic_mix: 0.3,
+        seed: 0x3A1D,
+    })
+    .expect("valid collection config");
+    let index = Arc::new(InvertedIndex::from_collection(&collection));
+    let queries = generate_queries(
+        &collection,
+        &QueryConfig {
+            num_queries: 8,
+            bias: DfBias::TrecLike { high_df_mix: 0.5 },
+            seed: 0x3A1E,
+            ..QueryConfig::default()
+        },
+    )
+    .expect("valid workload");
+    let models = [
+        RankingModel::TfIdf,
+        RankingModel::HiemstraLm { lambda: 0.15 },
+        RankingModel::Bm25 { k1: 1.2, b: 0.75 },
+    ];
+    for model in models {
+        let mut engine = ShardedEngine::build(
+            Arc::clone(&index),
+            ShardSpec::Range { shards: 2 },
+            FragmentSpec::TermFraction(0.9),
+            model,
+            SwitchPolicy::default(),
+            None,
+        )
+        .expect("collection shards cleanly");
+        let (mut scanned_on, mut scanned_off) = (0usize, 0usize);
+        for (qi, q) in queries.iter().enumerate() {
+            let scored = naive_document_scores(&collection, model, &q.terms);
+            for n in [1usize, 10, 100] {
+                let oracle = oracle_topn(&scored, n);
+                let batch = [BatchQuery {
+                    terms: q.terms.clone(),
+                    n,
+                }];
+                let mut run = |propagate: bool| {
+                    engine
+                        .execute_batch_sequential(
+                            &batch,
+                            ServeMode::Fixed(PhysicalPlan::PrunedDaat),
+                            propagate,
+                        )
+                        .expect("in-vocabulary query")
+                        .pop()
+                        .expect("one response")
+                };
+                let on = run(true);
+                let off = run(false);
+                let context = format!("q{qi} n={n} {model:?}");
+                assert_eq!(on.top, oracle, "{context}: propagated != naive oracle");
+                assert_eq!(off.top, oracle, "{context}: oblivious != naive oracle");
+                scanned_on += on.work.postings_scanned;
+                scanned_off += off.work.postings_scanned;
+            }
+        }
+        assert!(
+            scanned_on <= scanned_off,
+            "{model:?}: propagation scanned {scanned_on} > oblivious {scanned_off}"
+        );
     }
 }
 
