@@ -6,7 +6,7 @@
 //! merge), and a fixed query batch is replayed at every shard count with
 //! cross-shard threshold propagation on and off.
 //!
-//! Figures per configuration (medians over [`RUNS`] replays):
+//! Figures per configuration (medians over `RUNS` replays):
 //!
 //! * **crit. path** — the busiest shard's summed busy time, taken from a
 //!   *sequential* profiling replay (each shard alone, so the figure is

@@ -29,15 +29,15 @@
 //! regardless of how the server is coping — the discipline that exposes
 //! queueing (a closed loop would politely slow down and hide it).
 //! Arrivals due at the same poll are admitted as one batch, capped at
-//! [`MAX_BATCH`]: the cap is the backpressure knob a real front end has,
+//! `MAX_BATCH`: the cap is the backpressure knob a real front end has,
 //! and it keeps unbounded admission batches from amortizing the scoped
 //! path's spawn cost into invisibility. Offered load is calibrated to
-//! [`OVERLOAD`] × the measured single-thread capacity, so the sequential
+//! `OVERLOAD` × the measured single-thread capacity, so the sequential
 //! baseline always saturates and the parallel runtimes have queues to
 //! eat. Per-query latency is admission-to-merge (arrival timestamp to
 //! the completion of the batch that carried the query), summarized by
 //! nearest-rank p50/p95/p99/max; each runtime reports its best replay
-//! (highest achieved throughput) of [`REPLAYS`].
+//! (highest achieved throughput) of `REPLAYS`.
 //!
 //! Gates (enforced here and by CI's E18 smoke): at **every** shard
 //! count, pool throughput ≥ the sequential baseline and ≥ the scoped

@@ -17,7 +17,7 @@
 //!   honest counters — rather than errors;
 //! * **fault storm**: an armed poison term panics one shard's worker
 //!   inside its per-query guard (only the poisoned position may fail),
-//!   then [`CRASHES`] worker crashes on rotating shards kill threads
+//!   then `CRASHES` worker crashes on rotating shards kill threads
 //!   outside the guard mid-stream. The pool respawns each worker over
 //!   its retained shard and keeps serving.
 //!
@@ -143,7 +143,7 @@ pub struct FaultResult {
 pub struct ResilienceReport {
     /// Calibrated single-thread capacity (queries/sec).
     pub capacity_qps: f64,
-    /// The shedding drives, one per [`OVERLOADS`] multiple.
+    /// The shedding drives, one per `OVERLOADS` multiple.
     pub overload: Vec<OverloadResult>,
     /// The deadline drive.
     pub deadline: DeadlineResult,

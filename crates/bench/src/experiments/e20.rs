@@ -12,11 +12,11 @@
 //!
 //! The same open-loop Zipf replay harness as E18 (arrivals due at
 //! `i / offered_qps` regardless of server progress, admission batches
-//! capped at [`MAX_BATCH`], offered load calibrated to [`OVERLOAD`] ×
+//! capped at `MAX_BATCH`, offered load calibrated to `OVERLOAD` ×
 //! measured single-thread capacity) drives two otherwise identical pool
 //! sessions at every shard count: telemetry **on** (traces + slow log
 //! captured) and telemetry **off** (registry metrics only). Each cell
-//! reports its best replay of [`REPLAYS`].
+//! reports its best replay of `REPLAYS`.
 //!
 //! Gates (enforced here and by CI's E20 smoke):
 //!

@@ -11,7 +11,7 @@
 //!
 //! * **Skew sweep (throughput)** — the same Zipf stream generator at
 //!   several popularity exponents, cache **off** vs cache **on**, each
-//!   driven open-loop at [`OVERLOAD`] × the measured cache-off capacity.
+//!   driven open-loop at `OVERLOAD` × the measured cache-off capacity.
 //!   The cache-off session saturates at its capacity; the cached session
 //!   keeps up with the offered rate because hits bypass the workers.
 //!   Gate: cached throughput ≥ [`GATE_SPEEDUP`] × uncached at the most

@@ -6,7 +6,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`] (the role of
+/// Length specifications accepted by [`vec()`] (the role of
 /// `proptest::collection::SizeRange`).
 pub trait IntoSizeRange {
     /// Returns the inclusive `(min, max)` length bounds.
@@ -44,7 +44,7 @@ pub fn vec<S: Strategy>(element: S, size: impl IntoSizeRange) -> VecStrategy<S> 
     }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -356,10 +356,13 @@ impl<'a> DaatSearcher<'a> {
     /// [`DaatSearcher::search`] with a cross-engine threshold hook: every
     /// pruning gate additionally consults `gate` (documents whose bound
     /// falls strictly below the propagated global threshold are skipped
-    /// even while the local heap still has room for them), and every heap
-    /// insertion publishes the local N-th score back through the gate.
-    /// The *local* top-N may therefore lose tail entries that cannot make
-    /// the global top-N; the cross-shard merge remains bit-exact.
+    /// even while the local heap still has room for them), and the local
+    /// N-th score is published back through the gate: after every heap
+    /// insertion of the phase-1 warm-up merge, then in phase 2 once per
+    /// window sync (when it has risen) and once at the end. A peer that
+    /// reads between publications sees a lower threshold and only prunes
+    /// less. The *local* top-N may therefore lose tail entries that cannot
+    /// make the global top-N; the cross-shard merge remains bit-exact.
     pub fn search_gated(&self, terms: &[u32], n: usize, gate: &BoundGate) -> Result<DaatReport> {
         let mut scratch = QueryScratch::new();
         let stats = self.search_into(terms, n, gate, &mut scratch)?;

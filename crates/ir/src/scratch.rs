@@ -18,7 +18,7 @@
 //! it explicitly.
 //!
 //! Layout note: per-term cursor state is kept *structure-of-arrays*
-//! ([`TermMeta`] / [`CursorPos`] / [`CursorBuf`] in parallel vectors)
+//! (`TermMeta` / [`CursorPos`] / [`CursorBuf`] in parallel vectors)
 //! rather than as a `Vec` of combined state structs. That is what makes
 //! reuse possible at all — the buffers carry no borrows of any index, so
 //! they outlive queries against different indexes — and it keeps the hot

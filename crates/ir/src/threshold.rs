@@ -23,6 +23,17 @@
 //! ranks a positive-sign NaN *above* `+∞`, so one NaN reaching the
 //! `fetch_max` would freeze the threshold at an unsound maximum and prune
 //! every document on every shard.
+//!
+//! Effectiveness is a matter of *schedule*, not of the protocol: a
+//! threshold only prunes a shard that starts (or syncs) after a peer has
+//! finished the query or published a good N-th score. Shards that start
+//! the same query at the same moment each read −∞ and prune on nothing
+//! but their own heaps until a peer's publication lands. Sequential
+//! execution (shard 0, then shard 1) hands every later shard a finished
+//! threshold; the `moa_serve` worker pool gets the same effect under
+//! concurrency by staggering each worker's batch column, so every query
+//! has one leader shard that runs first and followers that meet it
+//! later. Soundness holds under any interleaving either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -18,7 +18,10 @@
 //!   instead of re-panicking the drain;
 //! * caller-runs parity — a short solo `submit` executed on the calling
 //!   thread degrades under deadlines and fails under poison exactly as
-//!   the workers do.
+//!   the workers do;
+//! * staggered columns — with every worker starting its column at a
+//!   different query, a poisoned position still fails alone, reported
+//!   by the first shard in shard order, and deadline partials stay exact.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -540,6 +543,158 @@ fn poison_term_fails_only_its_position_and_the_worker_survives() {
     }
 }
 
+/// The top-N as `(doc, score bits)`, so equality is bit-for-bit.
+fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    top.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+}
+
+/// Position of the poisoned query in [`staggered_batch`].
+const POISONED_POS: usize = 4;
+
+/// Seven distinct queries for a 3-shard pool, whose staggered columns
+/// start at positions 0, 2 and 4, plus a term that only the query at
+/// [`POISONED_POS`] contains. Shard 2 therefore meets the poison first,
+/// shard 0 last.
+fn staggered_batch(c: &Collection) -> (Vec<BatchQuery>, u32) {
+    let mut pool: Vec<Vec<u32>> = Vec::new();
+    let generated = generate_queries(
+        c,
+        &QueryConfig {
+            num_queries: 64,
+            bias: DfBias::TrecLike { high_df_mix: 0.4 },
+            seed: 0x7A99,
+            ..QueryConfig::default()
+        },
+    )
+    .expect("valid workload");
+    for q in generated {
+        if !pool.contains(&q.terms) {
+            pool.push(q.terms);
+        }
+    }
+    for (pi, poisoned) in pool.iter().enumerate() {
+        for &term in poisoned {
+            let mut chosen: Vec<&Vec<u32>> = pool
+                .iter()
+                .enumerate()
+                .filter(|&(i, q)| i != pi && !q.contains(&term))
+                .map(|(_, q)| q)
+                .take(6)
+                .collect();
+            if chosen.len() == 6 {
+                chosen.insert(POISONED_POS, poisoned);
+                let batch = chosen
+                    .into_iter()
+                    .map(|t| BatchQuery {
+                        terms: t.clone(),
+                        n: 10,
+                    })
+                    .collect();
+                return (batch, term);
+            }
+        }
+    }
+    panic!("the fixture has a query with a term no six others share");
+}
+
+#[test]
+fn staggered_poison_fails_only_its_position_reported_by_the_first_shard() {
+    // Three workers start their columns at 0, 2 and 4: shard 2 runs the
+    // poisoned query first, shard 0 fifth. The merge still reports the
+    // first failure in *shard* order, and the queries each worker ran
+    // right after recovering are untouched.
+    silence_worker_panics();
+    let (c, idx, _) = fixture();
+    let (batch, poison) = staggered_batch(&c);
+    let mut svc = session(&idx, 3, 4, AdmissionPolicy::Block, None);
+    let mut reference = session(&idx, 3, 4, AdmissionPolicy::Block, None);
+    for shard in 0..3 {
+        svc.pool_mut()
+            .inject_fault(shard, WorkerFault::PoisonTerm(poison));
+    }
+    let got = svc.submit_many(&batch).expect("blocking admission");
+    let want = reference.submit_many(&batch).expect("blocking admission");
+    for (qi, (g, w)) in got
+        .responses
+        .iter()
+        .zip(want.expect_ok().iter())
+        .enumerate()
+    {
+        if qi == POISONED_POS {
+            match g {
+                Err(ServeError::ShardFailed { shard, panic }) => {
+                    assert_eq!(*shard, 0, "the first failure in shard order");
+                    assert!(panic.contains("injected poison term"), "{panic:?}");
+                }
+                other => panic!("poisoned position must fail typed, got {other:?}"),
+            }
+        } else {
+            let g = g.as_ref().expect("clean positions are unaffected");
+            assert_eq!(bits(&g.top), bits(&w.top), "q{qi}: clean position diverged");
+        }
+    }
+    assert_eq!(svc.pool().respawns(), 0);
+    assert_eq!(svc.stats().queries_failed, 1);
+    assert_eq!(svc.stats().queries_served, batch.len() - 1);
+}
+
+#[test]
+fn staggered_deadline_partials_are_exact_and_scan_no_more_than_the_full_run() {
+    // The same 3-shard, 7-query shape under deadlines: a budget that has
+    // always expired (every position partial) and one that expires
+    // somewhere inside the staggered columns. A partial answer holds
+    // only exact (doc, score) pairs; a complete one is the full top-N.
+    let (c, idx, _) = fixture();
+    let (batch, _) = staggered_batch(&c);
+    let mut full = session(&idx, 3, 4, AdmissionPolicy::Block, None);
+    let all_docs: Vec<BatchQuery> = batch
+        .iter()
+        .map(|q| BatchQuery {
+            terms: q.terms.clone(),
+            n: c.num_docs(),
+        })
+        .collect();
+    let want = full.submit_many(&all_docs).expect("blocking admission");
+    for budget in [Duration::from_nanos(1), Duration::from_micros(50)] {
+        let mut svc = session(&idx, 3, 4, AdmissionPolicy::Block, Some(budget));
+        let got = svc.submit_many(&batch).expect("blocking admission");
+        for (qi, ((q, g), w)) in batch
+            .iter()
+            .zip(got.expect_ok().iter())
+            .zip(want.expect_ok().iter())
+            .enumerate()
+        {
+            if budget == Duration::from_nanos(1) {
+                assert!(
+                    g.partial,
+                    "q{qi}: expired budget must mark the response partial"
+                );
+            }
+            if g.partial {
+                for &(doc, score) in &g.top {
+                    let exact = w
+                        .top
+                        .iter()
+                        .find(|(d, _)| *d == doc)
+                        .unwrap_or_else(|| panic!("q{qi}: partial doc {doc} not ranked"));
+                    assert_eq!(
+                        score.to_bits(),
+                        exact.1.to_bits(),
+                        "{budget:?} q{qi} doc {doc}: partial score is not exact"
+                    );
+                }
+            } else {
+                assert_eq!(bits(&g.top), bits(&w.top[..q.n.min(w.top.len())]), "q{qi}");
+            }
+            assert!(
+                g.work.postings_scanned <= w.work.postings_scanned,
+                "{budget:?} q{qi}: a timed-out query cannot scan more than the full run"
+            );
+        }
+        assert_eq!(svc.stats().queries_failed, 0);
+    }
+}
+
 #[test]
 fn poisoned_short_solo_submit_fails_typed_in_the_caller_and_recovers() {
     // A caller-run query never passes through the worker's queue, so the
@@ -568,9 +723,6 @@ fn poisoned_short_solo_submit_fails_typed_in_the_caller_and_recovers() {
     svc.pool_mut().inject_fault(0, WorkerFault::ClearPoison);
     let healed = svc.submit(&q.terms, 10).expect("disarmed");
     let want = reference.submit(&q.terms, 10).expect("never faulted");
-    let bits = |top: &[(u32, f64)]| -> Vec<(u32, u64)> {
-        top.iter().map(|&(d, s)| (d, s.to_bits())).collect()
-    };
     assert_eq!(bits(&healed.top), bits(&want.top));
     assert_eq!(caller_runs(&svc), 2);
     assert_eq!(svc.pool().respawns(), 0);

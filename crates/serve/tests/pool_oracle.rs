@@ -179,6 +179,114 @@ fn pooled_batches_match_sequential_and_oracle_for_every_plan_model_and_shard_cou
     }
 }
 
+/// The top-N as `(doc, score bits)`, so equality is bit-for-bit.
+fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    top.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+}
+
+/// `len` queries with pairwise distinct term lists.
+fn distinct_queries(c: &Collection, len: usize) -> Vec<Vec<u32>> {
+    let mut out: Vec<Vec<u32>> = Vec::with_capacity(len);
+    let generated = generate_queries(
+        c,
+        &QueryConfig {
+            num_queries: 4 * len,
+            bias: DfBias::TrecLike { high_df_mix: 0.4 },
+            seed: 0x57A6,
+            ..QueryConfig::default()
+        },
+    )
+    .expect("valid workload");
+    for q in generated {
+        if out.len() < len && !out.contains(&q.terms) {
+            out.push(q.terms);
+        }
+    }
+    assert_eq!(out.len(), len, "the fixture yields {len} distinct queries");
+    out
+}
+
+#[test]
+fn staggered_batches_match_sequential_and_oracle_for_every_length_and_shard_count() {
+    // Worker i of P serves its column from ⌊i·len/P⌋, wrapping round, and
+    // rotates it back. Whatever the batch length — shorter than P, a
+    // multiple of P or not, with duplicates coalesced to a distinct count
+    // that is not a multiple of P — every position must answer exactly
+    // as the in-caller sequential schedule and the naive oracle do, and
+    // every distinct query must run once on every shard.
+    let (c, idx, _) = fixture();
+    let pool = distinct_queries(&c, 33);
+    let batch_of = |len: usize| -> Vec<BatchQuery> {
+        pool[..len]
+            .iter()
+            .enumerate()
+            .map(|(i, terms)| BatchQuery {
+                terms: terms.clone(),
+                n: [10, 1, 50][i % 3],
+            })
+            .collect()
+    };
+    let mut batches: Vec<Vec<BatchQuery>> = [1usize, 2, 3, 5, 32, 33]
+        .into_iter()
+        .map(batch_of)
+        .collect();
+    // 12 positions, 7 distinct: not a multiple of 2, 3 or 4.
+    let seven = batch_of(7);
+    batches.push(
+        [0usize, 1, 2, 0, 3, 4, 1, 5, 6, 0, 2, 6]
+            .iter()
+            .map(|&i| seven[i].clone())
+            .collect(),
+    );
+    let shard_queries = |svc: &ServeSession| svc.metrics().counter("serve.shard_queries").get();
+    for model in models() {
+        for shards in [2usize, 3, 4] {
+            for propagate in [false, true] {
+                for mode in [
+                    ServeMode::Fixed(PhysicalPlan::PrunedDaat),
+                    ServeMode::Planned,
+                ] {
+                    let mut pooled = session(&idx, shards, mode, model, propagate);
+                    let mut reference = session(&idx, shards, mode, model, propagate);
+                    for batch in &batches {
+                        let len = batch.len();
+                        let mut distinct: Vec<(&[u32], usize)> = Vec::new();
+                        for q in batch {
+                            if !distinct.contains(&(q.terms.as_slice(), q.n)) {
+                                distinct.push((q.terms.as_slice(), q.n));
+                            }
+                        }
+                        let before = shard_queries(&pooled);
+                        let got = pooled
+                            .submit_many(batch)
+                            .expect("blocking admission never sheds");
+                        assert_eq!(
+                            shard_queries(&pooled) - before,
+                            (distinct.len() * shards) as u64,
+                            "{model:?} {mode:?} x{shards} len={len}: one run per distinct query per shard"
+                        );
+                        let want = reference.submit_many_sequential(batch);
+                        assert_eq!(got.responses.len(), len);
+                        for (qi, ((q, g), w)) in batch
+                            .iter()
+                            .zip(got.expect_ok().iter())
+                            .zip(want.expect_ok().iter())
+                            .enumerate()
+                        {
+                            let ctx = format!(
+                                "{model:?} {mode:?} x{shards} propagate={propagate} len={len} q{qi}"
+                            );
+                            assert_eq!(bits(&g.top), bits(&w.top), "{ctx}: pool != sequential");
+                            let oracle = naive_topn(&c, model, &q.terms, q.n);
+                            assert_eq!(bits(&g.top), bits(&oracle), "{ctx}: pool != naive oracle");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn planned_pool_matches_the_naive_oracle_across_shard_counts() {
     // The production posture: per-shard planners picking freely,
