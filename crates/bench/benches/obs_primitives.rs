@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the telemetry primitives on the query
-//! hot path (E20 in microbenchmark form): the per-event cost of a
-//! counter increment, a gauge update, a histogram record, a phase-clock
-//! add, and a trace-ring slot write — plus the off-path costs a scrape
-//! pays (histogram snapshot + percentile, registry text render).
+//! hot path (`moabench` prices them end to end as
+//! `obs.telemetry_overhead_ratio`): the per-event cost of a counter
+//! increment, a gauge update, a histogram record, a phase-clock add, and
+//! a trace-ring slot write — plus the off-path costs a scrape pays
+//! (histogram snapshot + percentile, registry text render).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use moa_obs::{Counter, Gauge, Histogram, MetricsRegistry, Phase, PhaseAgg, QueryTrace, TraceRing};

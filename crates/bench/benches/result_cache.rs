@@ -1,8 +1,10 @@
-//! Criterion microbenchmarks of the cross-batch result cache (E21 in
-//! microbenchmark form): the per-operation cost of a warm hit lookup
-//! (the path that replaces an entire query execution), a miss followed
-//! by an insert (the price of carrying the cache on an all-distinct
-//! stream), and an O(1) epoch invalidation.
+//! Criterion microbenchmarks of the cross-batch result cache in
+//! isolation (`moabench` measures the same operations in place as
+//! `cache.hit_ns`, `cache.miss_insert_ns` and `cache.invalidate_ns`):
+//! the per-operation cost of a warm hit lookup (the path that replaces
+//! an entire query execution), a miss followed by an insert (the price
+//! of carrying the cache on an all-distinct stream), and an O(1) epoch
+//! invalidation.
 
 use std::sync::Arc;
 
@@ -42,8 +44,7 @@ fn bench_result_cache(c: &mut Criterion) {
 
     // Miss + insert: the all-distinct workload. The epoch bump each
     // round forces the resident entry stale, so every get walks the
-    // full miss path and every insert replaces a superseded slot —
-    // exactly E21's phase-B discipline.
+    // full miss path and every insert replaces a superseded slot.
     let cold = ResultCache::new(CacheConfig::default(), RankingModel::default());
     let value = answer(7);
     g.bench_function("miss_then_insert", |b| {

@@ -1,7 +1,7 @@
 //! The experiment driver: regenerates every paper claim's table.
 //!
 //! ```text
-//! experiments <e1|e2|...|e21|all> [--full] [--csv]
+//! experiments <e1|e2|...|e19|all> [--full] [--csv]
 //! ```
 //!
 //! `--full` runs at FT scale (tens of seconds per experiment); the default
@@ -58,7 +58,7 @@ fn main() {
 }
 
 fn print_usage() {
-    eprintln!("usage: experiments <e1|e2|...|e21|all> [--full] [--csv]");
+    eprintln!("usage: experiments <e1|e2|...|e19|all> [--full] [--csv]");
     eprintln!();
     eprintln!("  e1   unsafe fragmentation speed/quality trade-off   (paper §3 step 1)");
     eprintln!("  e2   safe switching with the early quality check    (paper §3 step 1)");
@@ -75,10 +75,6 @@ fn print_usage() {
     eprintln!("  e13  set-based vs element-at-a-time                  (paper §3 step 1)");
     eprintln!("  e14  bounds-pruned DAAT (MaxScore) vs exhaustive     (paper §2/§3)");
     eprintln!("  e15  cost-driven planner vs best-in-hindsight        (paper §3 step 3)");
-    eprintln!("  e16  sharded serving scaling + threshold propagation  (serving layer)");
     eprintln!("  e17  block-compressed posting storage: decode + walls  (storage layer)");
-    eprintln!("  e18  sustained-load serving: pool vs scoped vs sequential (serving layer)");
     eprintln!("  e19  overload shedding, deadlines, worker fault storm    (serving layer)");
-    eprintln!("  e20  telemetry overhead: instrumented vs uninstrumented  (observability)");
-    eprintln!("  e21  cross-batch result cache + plan memo under Zipf load (serving layer)");
 }

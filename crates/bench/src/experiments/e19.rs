@@ -1,8 +1,8 @@
 //! E19 — resilience under overload and injected faults.
 //!
-//! E18 established that the worker pool wins on throughput; this
-//! experiment establishes that it *degrades safely*. The same open-loop
-//! Zipf stream is driven at multiples of the calibrated single-thread
+//! `moabench` measures the worker pool's throughput and latency; this
+//! experiment establishes that it *degrades safely*. An open-loop Zipf
+//! stream is driven at multiples of the calibrated single-thread
 //! capacity against a pool with every overload defense armed, plus a
 //! controlled fault storm:
 //!
@@ -48,11 +48,11 @@ use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 /// Ranking depth.
 const TOP_N: usize = 10;
 
-/// Shard count for every resilience drive (the pool posture E18 showed
-/// scaling; resilience is about the runtime, not the shard sweep).
+/// Shard count for every resilience drive (resilience is about the
+/// runtime, not a shard sweep).
 const SHARDS: usize = 4;
 
-/// Admission batch cap (matches E18's front-end backpressure knob).
+/// Admission batch cap: the most arrivals one admission takes.
 const MAX_BATCH: usize = 32;
 
 /// Per-worker queue bound for the shedding drives: small enough that an
@@ -214,7 +214,7 @@ struct Drive {
 const IN_FLIGHT_BATCHES: usize = 2 * QUEUE_DEPTH;
 
 /// Drive `stream` open-loop at `offered_qps`, holding up to
-/// [`IN_FLIGHT_BATCHES`] uncollected tickets (E18's one-deep pipeline
+/// [`IN_FLIGHT_BATCHES`] uncollected tickets (a one-deep pipeline
 /// would itself backpressure the stream and never fill a bounded
 /// queue), tolerating shed admissions and per-position failures.
 /// Latency is arrival-to-merge for queries that were served.
@@ -477,7 +477,8 @@ pub fn measure(scale: Scale) -> ResilienceReport {
         .collect();
     let oracle = build_oracle(&index, &stream);
 
-    // Calibration: warmed single-thread capacity, as E18.
+    // Calibration: warmed single-thread capacity on the sequential
+    // schedule.
     let calib_config = ServeConfig::planned(1);
     let mut calib = ShardedEngine::build(
         Arc::clone(&index),

@@ -27,7 +27,8 @@
 //!   of the shard's bound, demoting its tail back to probationary when
 //!   over). Eviction takes the probationary tail first, so a burst of
 //!   one-hit wonders cannot wash out the re-referenced head of a Zipf
-//!   distribution — exactly the traffic shape E21 measures.
+//!   distribution — exactly the traffic shape `moabench`'s `zipf_hot`
+//!   and `zipf_churn` workloads drive.
 //! - **Concurrency** — the key hash picks one of `shards` independently
 //!   locked segments; the byte bound is enforced per segment
 //!   (`capacity_bytes / shards`), so the global footprint never exceeds

@@ -9,15 +9,16 @@
 //!   [`moa_ir::EngineSet`] per shard (sharing a single scoring kernel),
 //!   let each shard's own `moa_core` planner pick its physical operator
 //!   from shard-local catalog statistics, and fold the shard-local heaps
-//!   with the tie-stable k-way merge ([`moa_topn::kway_merge_sorted`]);
+//!   with the tie-stable k-way merge ([`moa_topn::kway_merge_sorted`]).
+//!   Its own schedule runs the shards one after another on the caller's
+//!   thread: the deterministic reference the oracles hold the pool to;
 //! * [`pool`] — [`ShardPool`]: the persistent serving runtime — one
 //!   long-lived worker thread per shard owning that shard's engine set
 //!   and zero-allocation scratch arena for the life of the stream, a
 //!   submission queue with batched admission ([`ShardPool::submit`] →
 //!   [`BatchTicket`]), and drain-on-shutdown that hands the shards back.
-//!   This replaced the scoped-thread-per-batch path for serving: spawn/
-//!   join per batch cost more than the queries themselves (the E16 wall
-//!   regression; E18 gates the pool against both alternatives);
+//!   It is the crate's one concurrent runtime: a thread spawn/join per
+//!   batch would cost more than the queries themselves;
 //! * cross-shard **bound propagation** — one
 //!   [`moa_ir::SharedThreshold`] per query carries each shard's running
 //!   N-th score to all others, so the `would_enter`/block-max pruning
@@ -62,7 +63,9 @@
 //! the worst-K queries are retained with full traces in a slow-query log
 //! ([`ServeSession::drain_slow_queries`]), and rare structured events
 //! (panics, respawns) land in a bounded event log ([`pool::PoolEvent`]).
-//! Steady-state recording allocates nothing; E20 gates the overhead.
+//! Steady-state recording allocates nothing, answers are the same with
+//! telemetry on or off (`tests/pool_oracle.rs`), and `moabench` reports
+//! the overhead as `obs.telemetry_overhead_ratio`.
 //!
 //! Cross-batch caching (see DESIGN.md "Result caching & plan
 //! memoization"): [`cache`] — [`ResultCache`]: a bounded,
@@ -74,8 +77,9 @@
 //! execution (differential oracle in `tests/cache_oracle.rs`) and the
 //! steady-state hit path allocates nothing (`tests/alloc_cache_hit.rs`).
 //! The shard planners memoize plan decisions by df-band signature
-//! ([`moa_core::Planner::plan_memoized`]); E21 measures both levels
-//! under open-loop Zipf load.
+//! ([`moa_core::Planner::plan_memoized`]); `moabench`'s `zipf_hot` and
+//! `zipf_churn` workloads measure both levels under Zipf arrivals
+//! (`cache.*`, `planner.memo_*`).
 
 #![warn(missing_docs)]
 
@@ -95,8 +99,7 @@ pub use pool::{
     BatchTicket, ExplainRow, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery,
 };
 pub use service::{
-    BatchReport, PendingBatch, ServeConfig, ServeSession, ServeStats, ShardBusy,
-    CALLER_RUNS_MAX_POSTINGS,
+    BatchReport, PendingBatch, ServeConfig, ServeSession, ServeStats, CALLER_RUNS_MAX_POSTINGS,
 };
 pub use shard::{
     merge_columns, BatchQuery, EngineShard, QueryResponse, ServeMode, ShardColumn, ShardOutcome,

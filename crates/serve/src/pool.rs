@@ -1,11 +1,11 @@
 //! The persistent per-shard worker pool: the serving runtime.
 //!
-//! [`ShardedEngine::execute_batch`] spawns one scoped thread per shard
-//! *per batch*. That is correct but pays thread spawn/join on every
-//! submission — on this class of host roughly 100–150µs per thread,
-//! several times the cost of serving a typical query — which is exactly
-//! the wall-time regression E16 measured (0.44–0.76× sequential at 2–8
-//! shards). [`ShardPool`] removes the per-batch setup entirely:
+//! Spawning one thread per shard *per batch* would pay thread spawn/join
+//! on every submission — roughly 100–150µs per thread on a commodity
+//! host, several times the cost of serving a typical query. [`ShardPool`]
+//! has no per-batch setup; it takes the shards of a [`ShardedEngine`]
+//! (whose own schedule runs them one after another on the caller's
+//! thread) and keeps them on workers:
 //!
 //! * **One long-lived worker thread per shard.** Construction parks each
 //!   [`EngineShard`] — its fragmented table, engine set, planner, and
@@ -106,7 +106,7 @@
 //! * **Identical answers.** Workers run the same
 //!   [`EngineShard::run_one`](crate::shard::EngineShard) column loop and
 //!   the ticket folds columns with the same tie-stable
-//!   [`merge_columns`] as the scoped and caller-run paths, under the
+//!   [`merge_columns`] as the sequential and caller-run paths, under the
 //!   same per-query [`BoundGate`]s — so pooled responses are
 //!   bit-identical to both, and (for exact plans) to a single unsharded
 //!   engine. The `pool_oracle` differential test pins this across plans
@@ -160,7 +160,8 @@ pub struct PoolConfig {
     /// Registry counters, gauges, and histograms are always live (a few
     /// relaxed atomic ops per query); this switch covers the trace-ring
     /// writes and slow-log offers — the parts behind a (worker-local,
-    /// uncontended) mutex. E20 measures the difference.
+    /// uncontended) mutex. `moabench` reports the difference as
+    /// `obs.telemetry_overhead_ratio`.
     pub telemetry: bool,
     /// Per-worker trace ring capacity: the most recent query traces each
     /// worker retains (preallocated at spawn; zero disables capture).
@@ -589,8 +590,9 @@ fn lost_column(shard: usize, len: usize) -> ShardColumn {
 /// An in-flight batch: redeem it with [`BatchTicket::wait`] for merged
 /// per-query results, or [`BatchTicket::wait_columns`] to take the raw
 /// per-shard columns and defer the merge off the service critical path
-/// (submit the next batch first, then merge — the overlap the E18 pool
-/// driver uses). Waiting never fails and never deadlocks: a worker that
+/// (submit the next batch first, then merge — the overlap
+/// [`crate::ServeSession::enqueue`] / [`crate::ServeSession::collect`]
+/// offer). Waiting never fails and never deadlocks: a worker that
 /// died mid-batch yields a synthesized [`ServeError::ShardFailed`]
 /// column instead of a hang.
 #[must_use = "an unredeemed ticket discards the batch's responses"]
@@ -1052,7 +1054,7 @@ impl ShardPool {
     /// enqueue the job on every worker, and return a [`BatchTicket`]
     /// without waiting. Workers run their columns concurrently; with
     /// `propagate`, shards prune against each other's running thresholds
-    /// exactly as the scoped path does.
+    /// mid-flight.
     ///
     /// Refusal is all-or-nothing: [`ServeError::Shed`] means *no* worker
     /// received the batch (acquired slots are rolled back), so a shed
@@ -1064,7 +1066,7 @@ impl ShardPool {
     /// executing each position individually — a top-N response is a pure
     /// function of index, model, and query — and under Zipf-skewed
     /// streams the saved executions are the pool's dominant throughput
-    /// win (see E18).
+    /// win (`moabench` reports the share as `admission.coalesced_ratio`).
     pub fn submit(
         &mut self,
         queries: &[BatchQuery],

@@ -11,11 +11,10 @@
 //! shard and renders the per-shard plan table without executing anything.
 //!
 //! Shard workers are long-lived: batch submission costs two `mpsc` sends
-//! per shard, not a thread spawn/join — the regression the scoped-thread
-//! runtime paid per batch (see [`crate::pool`]) and the E18 sustained-load
-//! harness now gates against. A short solo query skips even that: on an
-//! idle pool, [`ServeSession::submit`] runs it on the calling thread
-//! (caller-runs; see [`CALLER_RUNS_MAX_POSTINGS`]).
+//! per shard, not a thread spawn/join (see [`crate::pool`]). A short solo
+//! query skips even that: on an idle pool, [`ServeSession::submit`] runs
+//! it on the calling thread (caller-runs; see
+//! [`CALLER_RUNS_MAX_POSTINGS`]).
 //!
 //! Overload and failure semantics ride through from the pool: admission
 //! is bounded ([`ServeConfig::queue_depth`], [`ServeConfig::admission`]),
@@ -65,8 +64,9 @@ pub struct ServeConfig {
     pub policy: SwitchPolicy,
     /// Operator selection: per-shard planner or one pinned plan.
     pub mode: ServeMode,
-    /// Cross-shard threshold propagation (on by default; turning it off
-    /// is the ablation E16 measures).
+    /// Cross-shard threshold propagation (on by default). Turning it off
+    /// changes work, never answers (`moabench` reports what it saves as
+    /// `threshold.scan_ratio`).
     pub propagate: bool,
     /// Build each shard fragment's non-dense index with this block size.
     pub sparse_block: Option<usize>,
@@ -81,8 +81,9 @@ pub struct ServeConfig {
     /// [`QueryResponse::partial`] set. `None` disables deadlines.
     pub deadline: Option<Duration>,
     /// Capture per-query traces and slow-log entries on the shard
-    /// workers (registry metrics are always live). E20 measures the
-    /// overhead of leaving this on.
+    /// workers (registry metrics are always live). Answers are the same
+    /// either way (`tests/pool_oracle.rs`); `moabench` reports the cost of
+    /// leaving this on as `obs.telemetry_overhead_ratio`.
     pub telemetry: bool,
     /// Per-worker trace ring capacity (recent query traces retained).
     pub trace_ring: usize,
@@ -128,19 +129,6 @@ impl ServeConfig {
             ..ServeConfig::planned(shards)
         }
     }
-}
-
-/// One shard's accumulated busy time over a batch, with the number of
-/// per-query samples behind it. A batch that errored early (or an empty
-/// batch) leaves `samples == 0` — an *absence of evidence*, which
-/// [`BatchReport::critical_path`] surfaces as `None` rather than letting
-/// a zero masquerade as a measured duration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardBusy {
-    /// Total busy time (planning + execution on the shard's thread).
-    pub busy: Duration,
-    /// Number of query outcomes the total aggregates.
-    pub samples: usize,
 }
 
 /// The outcome of one [`ServeSession::submit_many`] call. Failures are
@@ -191,40 +179,6 @@ impl BatchReport {
             total.absorb(&r.work);
         }
         total
-    }
-
-    /// Each shard's total busy time over the batch, indexed by shard id,
-    /// with its sample count. The vector spans every shard id any
-    /// successful response mentions; ids no response reported stay at
-    /// zero samples.
-    pub fn shard_busy(&self) -> Vec<ShardBusy> {
-        let shards = self
-            .ok_responses()
-            .flat_map(|r| r.shards.iter())
-            .map(|o| o.shard + 1)
-            .max()
-            .unwrap_or(0);
-        let mut busy = vec![ShardBusy::default(); shards];
-        for r in self.ok_responses() {
-            for o in &r.shards {
-                busy[o.shard].busy += o.busy;
-                busy[o.shard].samples += 1;
-            }
-        }
-        busy
-    }
-
-    /// The batch's critical path: the busiest shard's total busy time —
-    /// the wall-clock floor for a deployment with one core per shard.
-    /// `None` when the batch produced no shard outcomes at all (empty
-    /// batch): there is no measurement, and `Duration::ZERO` would read
-    /// as an impossibly fast one.
-    pub fn critical_path(&self) -> Option<Duration> {
-        self.shard_busy()
-            .into_iter()
-            .filter(|b| b.samples > 0)
-            .map(|b| b.busy)
-            .max()
     }
 }
 
@@ -864,30 +818,6 @@ impl ServeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moa_ir::PhysicalPlan;
-
-    use crate::shard::ShardOutcome;
-
-    fn outcome(shard: usize, busy_us: u64) -> ShardOutcome {
-        ShardOutcome {
-            shard,
-            plan: PhysicalPlan::ExhaustiveDaat,
-            est_cost: None,
-            report: ExecReport::default(),
-            busy: Duration::from_micros(busy_us),
-            phases: moa_obs::PhaseAgg::new(),
-            memo_hit: false,
-        }
-    }
-
-    fn response(shards: Vec<ShardOutcome>) -> ServeResult<QueryResponse> {
-        Ok(QueryResponse {
-            top: Vec::new(),
-            work: ExecReport::default(),
-            partial: false,
-            shards,
-        })
-    }
 
     #[test]
     fn serve_stats_saturate_instead_of_wrapping() {
@@ -905,53 +835,5 @@ mod tests {
         assert_eq!(stats.queries_served, usize::MAX);
         assert_eq!(stats.queries_partial, usize::MAX);
         assert_eq!(stats.postings_scanned, usize::MAX);
-    }
-
-    #[test]
-    fn empty_batch_has_no_critical_path() {
-        // An empty batch yields no shard outcomes: there is no
-        // measurement, and the old code's Duration::ZERO "busiest shard"
-        // read as an impossibly fast one.
-        let report = BatchReport {
-            responses: Vec::new(),
-            wall: Duration::from_micros(5),
-        };
-        assert!(report.shard_busy().is_empty());
-        assert_eq!(report.critical_path(), None);
-    }
-
-    #[test]
-    fn shard_busy_counts_samples_and_sums_busy_time() {
-        let report = BatchReport {
-            responses: vec![
-                response(vec![outcome(0, 10), outcome(1, 40)]),
-                response(vec![outcome(0, 30), outcome(1, 5)]),
-            ],
-            wall: Duration::from_micros(90),
-        };
-        let busy = report.shard_busy();
-        assert_eq!(busy.len(), 2);
-        assert_eq!(busy[0].busy, Duration::from_micros(40));
-        assert_eq!(busy[0].samples, 2);
-        assert_eq!(busy[1].busy, Duration::from_micros(45));
-        assert_eq!(busy[1].samples, 2);
-        assert_eq!(report.critical_path(), Some(Duration::from_micros(45)));
-    }
-
-    #[test]
-    fn unsampled_shards_never_win_the_critical_path() {
-        // Shard 1 reported no outcome at all (e.g. every response came
-        // from a narrower shard set): its zero total must not be offered
-        // as the "busiest" figure, and its sample count exposes the gap.
-        let report = BatchReport {
-            responses: vec![response(vec![outcome(1, 25)])],
-            wall: Duration::from_micros(30),
-        };
-        let busy = report.shard_busy();
-        assert_eq!(busy.len(), 2);
-        assert_eq!(busy[0].samples, 0);
-        assert_eq!(busy[0].busy, Duration::ZERO);
-        assert_eq!(busy[1].samples, 1);
-        assert_eq!(report.critical_path(), Some(Duration::from_micros(25)));
     }
 }

@@ -97,11 +97,13 @@ fn cached_answers_are_bit_identical_under_hits_misses_evictions_and_invalidation
     );
     let mut fresh = session(&idx, None);
 
+    let cache_hits = |s: &ServeSession| s.result_cache().expect("cache configured").stats().hits;
     let plan = schedule(96, queries.len());
     for (round, chunk) in plan.chunks(4).enumerate() {
         // Invalidation storm interleaved with ordinary traffic: every
         // third batch flash-invalidates first.
-        if round % 3 == 2 {
+        let bumped = round % 3 == 2;
+        if bumped {
             let epoch = cached.invalidate_epoch().expect("cache configured");
             assert!(epoch > 0);
         }
@@ -112,7 +114,18 @@ fn cached_answers_are_bit_identical_under_hits_misses_evictions_and_invalidation
                 n: 10,
             })
             .collect();
+        let hits_before = cache_hits(&cached);
         let got = cached.submit_many(&batch).expect("admission blocks");
+        if bumped {
+            // No stale hit: a batch looks every position up at admission,
+            // before any of its answers is inserted, so right after a bump
+            // each lookup is its key's first since the bump and must miss.
+            assert_eq!(
+                cache_hits(&cached),
+                hits_before,
+                "round {round}: a cache hit survived invalidate_epoch()"
+            );
+        }
         let want = fresh.submit_many(&batch).expect("admission blocks");
         for (pos, (g, w)) in got.responses.iter().zip(&want.responses).enumerate() {
             let g = g.as_ref().expect("no faults in play");

@@ -2,11 +2,11 @@
 //! runtime is pinned **bit-identical** to the deterministic sequential
 //! schedule and to a naive collection-scan oracle across the full matrix
 //! — every pinned physical plan × 3 ranking models × shard counts ×
-//! propagation on/off — and its drain-on-shutdown contract is proven,
-//! not assumed: a batch admitted before teardown is fully answered, and
-//! the scratch arenas handed back by `shutdown` carry lifetime query
-//! counts equal to the whole stream (one arena per shard served
-//! everything; nothing was rebuilt mid-stream).
+//! propagation on/off, and telemetry on/off — and its drain-on-shutdown
+//! contract is proven, not assumed: a batch admitted before teardown is
+//! fully answered, and the scratch arenas handed back by `shutdown`
+//! carry lifetime query counts equal to the whole stream (one arena per
+//! shard served everything; nothing was rebuilt mid-stream).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -316,6 +316,93 @@ fn planned_pool_matches_the_naive_oracle_across_shard_counts() {
 }
 
 #[test]
+fn telemetry_never_changes_an_answer_and_captures_only_when_on() {
+    // Trace capture and slow-log offers run on the workers' hot path. The
+    // same multi-batch stream through a session with telemetry and one
+    // without must give bit-identical answers; only the instrumented
+    // session may hold traces and slow-log entries, and those must be
+    // well formed: every trace clocked and spanned, the slow log within
+    // its bound and drained worst-first, the lifecycle metrics present.
+    let (_, idx, queries) = fixture();
+    let stream: Vec<BatchQuery> = (0..24)
+        .map(|i| BatchQuery {
+            terms: queries[i % queries.len()].terms.clone(),
+            n: [10, 1, 50][i % 3],
+        })
+        .collect();
+    for shards in [2usize, 3] {
+        let build = |telemetry: bool| {
+            let config = ServeConfig {
+                shard_spec: ShardSpec::Range { shards },
+                sparse_block: Some(64),
+                telemetry,
+                ..ServeConfig::planned(shards)
+            };
+            ServeSession::new(Arc::clone(&idx), config).expect("tiny index shards cleanly")
+        };
+        let mut on = build(true);
+        let mut off = build(false);
+        for (bi, batch) in stream.chunks(5).enumerate() {
+            let got = on
+                .submit_many(batch)
+                .expect("blocking admission never sheds");
+            let want = off
+                .submit_many(batch)
+                .expect("blocking admission never sheds");
+            for (qi, (g, w)) in got
+                .expect_ok()
+                .iter()
+                .zip(want.expect_ok().iter())
+                .enumerate()
+            {
+                assert_eq!(
+                    bits(&g.top),
+                    bits(&w.top),
+                    "x{shards} batch {bi} q{qi}: telemetry changed the answer"
+                );
+            }
+        }
+
+        let traces = on.traces();
+        assert!(!traces.is_empty(), "x{shards}: no traces retained");
+        for t in &traces {
+            assert!(t.wall_ns > 0, "x{shards}: trace without a wall clock");
+            assert!(!t.spans().is_empty(), "x{shards}: trace without spans");
+        }
+        let slow = on.drain_slow_queries();
+        assert!(
+            slow.len() <= on.config().slow_log,
+            "x{shards}: slow log over its bound"
+        );
+        assert!(
+            slow.windows(2).all(|w| w[0].wall >= w[1].wall),
+            "x{shards}: slow log must drain worst-first"
+        );
+        let text = on.metrics_text();
+        for needle in [
+            "serve.batches",
+            "serve.queries_admitted",
+            "serve.shard_queries",
+            "serve.query_ns",
+            "serve.queue_wait_ns",
+        ] {
+            assert!(
+                text.contains(needle),
+                "x{shards}: registry missing {needle}"
+            );
+        }
+        assert!(
+            off.traces().is_empty(),
+            "x{shards}: telemetry off captured traces"
+        );
+        assert!(
+            off.drain_slow_queries().is_empty(),
+            "x{shards}: telemetry off filled the slow log"
+        );
+    }
+}
+
+#[test]
 fn short_solo_submit_queues_behind_a_busy_pool_and_runs_in_the_caller_once_idle() {
     // Caller-runs dispatch keys on the gauges: a short solo query runs on
     // the submitting thread only when every worker queue is empty. Behind
@@ -502,7 +589,7 @@ fn coalesced_duplicates_match_per_position_execution_bit_for_bit() {
 
 #[test]
 fn streaming_enqueue_collect_overlap_matches_one_shot_submission() {
-    // Two batches in flight at once (the E18 pool driver's pipelining):
+    // Two batches in flight at once (a pipelining open-loop driver):
     // admission order is preserved per worker, and each collected batch
     // is identical to an isolated submission of the same queries.
     let (_, idx, queries) = fixture();

@@ -151,6 +151,8 @@ fn propagation_ablation_preserves_answers_for_every_plan() {
 fn batched_and_planned_execution_matches_the_pinned_reference() {
     // The production posture (planner per shard, propagation on, batched
     // submission) answers exactly like the pinned exhaustive reference.
+    // The batch runs on the in-thread schedule: the reference that
+    // `pool_oracle.rs` holds the worker pool to.
     let (c, idx, queries) = fixture();
     let mut reference = engine(&idx, ShardSpec::Range { shards: 1 });
     let mut serving = engine(&idx, ShardSpec::Range { shards: 4 });
@@ -162,7 +164,7 @@ fn batched_and_planned_execution_matches_the_pinned_reference() {
         })
         .collect();
     let responses = serving
-        .execute_batch(&batch, ServeMode::Planned, true)
+        .execute_batch_sequential(&batch, ServeMode::Planned, true)
         .expect("in-vocabulary batch");
     assert_eq!(responses.len(), batch.len());
     for (i, q) in queries.iter().enumerate() {

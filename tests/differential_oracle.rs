@@ -680,7 +680,7 @@ fn pruned_daat_across_production_windows_on_two_shards() {
     // stay bit-identical to the naive oracle, and cross-shard threshold
     // propagation must never scan more than the oblivious run over the
     // workload (shards run one after another, so the counts are
-    // reproducible). The check is on the workload's total, as E16's is:
+    // reproducible). The check is on the workload's total:
     // query by query a higher threshold can scan more, because it can move
     // a term to the non-essential side, where its bound at a candidate is
     // a block maximum rather than its presence in the window's lanes.
@@ -933,6 +933,226 @@ fn unsafe_a_only_strategy_error_is_one_sided_and_bounded() {
                     score <= exact + 1e-9,
                     "{label}: A-only inflated doc {doc}: {score} > {exact}"
                 );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Float-order ties: bounds are summed in one order, exact scores in another.
+// ---------------------------------------------------------------------------
+
+/// splitmix64 finalizer: a self-contained, seedable hash for the tie corpus.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A corpus of exact duplicates, as `(vocab, doc_len, sorted postings)`.
+/// Every document but one in 128 copies one of `TEMPLATES` templates —
+/// same terms, same tfs, same length — with the copies scattered over
+/// three pruning windows, so every template's documents score to the
+/// identical `f64` and tie. The rest are one-off documents. Term 0 is in
+/// every template with a high tf, so its mean weight sits about 1000×
+/// below the rarest terms' under TF-IDF and BM25, and about 40× below
+/// under Hiemstra.
+fn tie_corpus() -> (usize, Vec<u32>, Vec<(u32, u32, u32)>) {
+    const VOCAB: u32 = 48;
+    const TEMPLATES: u64 = 40;
+    let num_docs = 2 * moa_ir::daat::WINDOW as u64 + 700;
+    let template = |k: u64| -> (Vec<(u32, u32)>, u32) {
+        let mut terms = vec![(0u32, 6 + (mix(k) % 10) as u32)];
+        for t in 1..VOCAB {
+            let h = mix(k * u64::from(VOCAB) + u64::from(t) + 1);
+            if ((h % 10_000) as f64) < 8_500.0 * 0.9f64.powi(t as i32) {
+                terms.push((t, 1 + (h >> 32) as u32 % 6));
+            }
+        }
+        let len = terms.iter().map(|&(_, tf)| tf).sum::<u32>() + (mix(k + 0x1E17) % 20) as u32;
+        (terms, len)
+    };
+    let templates: Vec<(Vec<(u32, u32)>, u32)> = (0..TEMPLATES).map(template).collect();
+    let mut doc_len = Vec::with_capacity(num_docs as usize);
+    let mut postings = Vec::new();
+    for d in 0..num_docs {
+        let h = mix(d ^ 0x71E5);
+        let (terms, len) = if h.is_multiple_of(128) {
+            // A one-off: 2-4 terms other than term 0, random tfs.
+            let mut terms: Vec<(u32, u32)> = (0..2 + h % 3)
+                .map(|j| {
+                    let g = mix(h + j);
+                    (
+                        1 + (g % u64::from(VOCAB - 1)) as u32,
+                        1 + (g >> 32) as u32 % 9,
+                    )
+                })
+                .collect();
+            terms.sort_unstable();
+            terms.dedup_by_key(|p| p.0);
+            let len = terms.iter().map(|&(_, tf)| tf).sum::<u32>() + (h >> 40) as u32 % 30;
+            (terms, len)
+        } else {
+            templates[((h >> 8) % TEMPLATES) as usize].clone()
+        };
+        doc_len.push(len);
+        postings.extend(terms.into_iter().map(|(t, tf)| (t, d as u32, tf)));
+    }
+    postings.sort_unstable();
+    (VOCAB as usize, doc_len, postings)
+}
+
+/// Regression guard for the float-order soundness of every bound test.
+///
+/// The pruned kernels compare bounds — summed strongest-bound-first, with
+/// block maxima — against thresholds, while exact scores are summed in
+/// query order. f64 addition is not associative, so a bound could land
+/// one ulp below its own document's exact score and prune a document
+/// that ties the N-th entry at a smaller id. This corpus makes exact ties
+/// certain (duplicate documents), the queries mix weights up to three
+/// orders of magnitude apart in an order unrelated to their bounds, and
+/// every N cuts a tie group in two. Every path must return the naive
+/// query-order scan's (score desc, id asc) answer bit for bit: pruned
+/// DAAT, the fragmented full scan, and 2- and 3-shard engines with
+/// threshold propagation under both partitionings (round-robin puts tie
+/// partners with smaller ids on the shard that runs second).
+#[test]
+fn exact_ties_on_the_n_boundary_survive_every_bound_test() {
+    use moa_serve::{ServeMode, ShardSpec, ShardedEngine};
+    let (vocab, doc_len, postings) = tie_corpus();
+    let index = Arc::new(
+        InvertedIndex::from_sorted_postings(vocab, doc_len.clone(), &postings)
+            .expect("sorted, in-range postings"),
+    );
+    // The oracle's inputs come from the raw triples, not the index.
+    let mut df = vec![0u32; vocab];
+    let mut cf = vec![0u64; vocab];
+    let mut runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vocab];
+    for &(t, d, tf) in &postings {
+        df[t as usize] += 1;
+        cf[t as usize] += u64::from(tf);
+        runs[t as usize].push((d, tf));
+    }
+    let total_tokens: u64 = doc_len.iter().map(|&l| u64::from(l)).sum();
+    let stats = moa_ir::CollectionStats {
+        num_docs: doc_len.len(),
+        avg_doc_len: total_tokens as f64 / doc_len.len() as f64,
+        total_tokens,
+    };
+    let naive = |model: RankingModel, terms: &[u32]| -> Vec<(u32, f64)> {
+        let mut scores = vec![0.0f64; doc_len.len()];
+        let mut touched = vec![false; doc_len.len()];
+        for &t in terms {
+            for &(d, tf) in &runs[t as usize] {
+                let (t, d) = (t as usize, d as usize);
+                scores[d] += model.term_weight(tf, df[t], cf[t], doc_len[d], &stats);
+                touched[d] = true;
+            }
+        }
+        let scored: Vec<(u32, f64)> = (0..doc_len.len())
+            .filter(|&d| touched[d])
+            .map(|d| (d as u32, scores[d]))
+            .collect();
+        oracle_topn(&scored, scored.len())
+    };
+
+    // Queries of 3-6 distinct terms: always term 0 (the faintest weight)
+    // and one of the five rarest terms, the rest drawn at random, then
+    // shuffled so query order never follows bound order.
+    let mut by_df: Vec<u32> = (1..vocab as u32).filter(|&t| df[t as usize] > 0).collect();
+    by_df.sort_by_key(|&t| (df[t as usize], t));
+    let queries: Vec<Vec<u32>> = (0..8u64)
+        .map(|qi| {
+            let len = 3 + (qi % 4) as usize;
+            let mut q = vec![0, by_df[(qi % 5) as usize]];
+            let mut j = 0;
+            while q.len() < len {
+                let t = by_df[(mix(qi * 97 + j) % by_df.len() as u64) as usize];
+                if !q.contains(&t) {
+                    q.push(t);
+                }
+                j += 1;
+            }
+            for i in (1..q.len()).rev() {
+                q.swap(i, (mix(qi ^ ((i as u64) << 8)) % (i as u64 + 1)) as usize);
+            }
+            q
+        })
+        .collect();
+
+    let models = [
+        RankingModel::TfIdf,
+        RankingModel::HiemstraLm { lambda: 0.15 },
+        RankingModel::Bm25 { k1: 1.2, b: 0.75 },
+    ];
+    let plans = [
+        PhysicalPlan::PrunedDaat,
+        PhysicalPlan::Fragmented(Strategy::FullScan),
+    ];
+    let specs = [
+        ShardSpec::Range { shards: 2 },
+        ShardSpec::Range { shards: 3 },
+        ShardSpec::RoundRobin { shards: 2 },
+        ShardSpec::RoundRobin { shards: 3 },
+    ];
+    let frag = Arc::new(
+        FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.9))
+            .expect("non-empty collection"),
+    );
+    for model in models {
+        let mut engines = EngineSet::new(Arc::clone(&frag), model, SwitchPolicy::default());
+        let mut sharded: Vec<ShardedEngine> = specs
+            .iter()
+            .map(|&spec| {
+                ShardedEngine::build(
+                    Arc::clone(&index),
+                    spec,
+                    FragmentSpec::TermFraction(0.9),
+                    model,
+                    SwitchPolicy::default(),
+                    None,
+                )
+                .expect("collection shards cleanly")
+            })
+            .collect();
+        for (qi, q) in queries.iter().enumerate() {
+            let ranked = naive(model, q);
+            // N on a tie boundary: the N-th and (N+1)-th entries tie
+            // exactly. The first such N, and the first at or past 10 and
+            // at or past 100.
+            let ties: Vec<usize> = (1..ranked.len())
+                .filter(|&i| ranked[i - 1].1.to_bits() == ranked[i].1.to_bits())
+                .collect();
+            let mut ns: Vec<usize> = [1usize, 10, 100]
+                .iter()
+                .filter_map(|&from| ties.iter().copied().find(|&i| i >= from))
+                .collect();
+            ns.dedup();
+            assert!(
+                !ns.is_empty(),
+                "{model:?} q{qi} {q:?}: the corpus built no tie"
+            );
+            for n in ns {
+                let want = &ranked[..n];
+                for plan in plans {
+                    let got = engines.execute(plan, q, n).expect("in-vocabulary query");
+                    assert_eq!(
+                        got.top,
+                        want,
+                        "{model:?} q{qi} {q:?} n={n}: {} != naive oracle",
+                        plan.name()
+                    );
+                }
+                for (spec, engine) in specs.iter().zip(sharded.iter_mut()) {
+                    let got = engine
+                        .execute(q, n, ServeMode::Fixed(PhysicalPlan::PrunedDaat), true)
+                        .expect("in-vocabulary query");
+                    assert_eq!(
+                        got.top, want,
+                        "{model:?} q{qi} {q:?} n={n}: pruned DAAT {spec:?} != naive oracle"
+                    );
+                }
             }
         }
     }
