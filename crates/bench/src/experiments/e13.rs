@@ -11,9 +11,7 @@
 //! All four configurations produce identical rankings; only the work
 //! differs.
 
-use moa_ir::{
-    DaatSearcher, ExecReport, ExhaustiveDaatOp, FragmentSpec, RetrievalOp, Strategy, SwitchPolicy,
-};
+use moa_ir::{DaatSearcher, ExecReport, FragmentSpec, Strategy, SwitchPolicy};
 
 use crate::experiments::fixture::{RetrievalFixture, METRIC_DEPTH};
 use crate::harness::{fmt_duration, Scale, Table};
@@ -24,19 +22,18 @@ pub fn run(scale: Scale) -> Table {
     let frag = f.fragment(FragmentSpec::TermFraction(0.95));
     let policy = SwitchPolicy::default();
 
-    // Element-at-a-time: per-query posting cursors, exhaustive merge —
-    // executed through the unified physical operator so the work totals
-    // come from the same `ExecReport` counters as every other path.
-    // (The bounds-pruned DAAT kernel is measured separately by E14; here
-    // the unpruned cursor merge is the architectural reference whose work
-    // equals the query terms' posting volume.)
-    let mut daat_op = ExhaustiveDaatOp(DaatSearcher::new(&f.index, f.model));
+    // Element-at-a-time: per-query posting cursors, exhaustive merge; its
+    // work totals are the same `ExecReport` counters every other path
+    // reports. (The bounds-pruned DAAT kernel is measured separately by
+    // E14; here the unpruned cursor merge is the architectural reference
+    // whose work equals the query terms' posting volume.)
+    let daat = DaatSearcher::new(&f.index, f.model);
     let t0 = std::time::Instant::now();
     let mut daat_total = ExecReport::default();
     let mut daat_rankings = Vec::new();
     for q in &f.queries {
-        let rep = daat_op
-            .execute(&q.terms, METRIC_DEPTH)
+        let rep = daat
+            .search_exhaustive(&q.terms, METRIC_DEPTH)
             .expect("valid query");
         daat_rankings.push((q.id, rep.top.iter().map(|&(d, _)| d).collect::<Vec<u32>>()));
         daat_total.absorb(&rep);

@@ -20,13 +20,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
-use moa_ir::{
-    BoundGate, DaatSearcher, ExecReport, ExhaustiveDaatOp, InvertedIndex, PrunedDaatOp,
-    QueryScratch, RankingModel, RetrievalOp, ScoreKernel,
-};
+use moa_ir::{BoundGate, DaatSearcher, ExecReport, InvertedIndex, QueryScratch, RankingModel};
 use moa_topn::TopNHeap;
 
 use crate::harness::{fmt_duration, time_best_interleaved, Scale, Table};
@@ -36,8 +32,8 @@ use crate::harness::{fmt_duration, time_best_interleaved, Scale, Table};
 const TOP_N: usize = 10;
 
 /// One measured (query mix × ranking model) configuration. Work totals
-/// are aggregated [`ExecReport`]s from the unified physical operators —
-/// no per-field counter copying.
+/// are the [`ExecReport`]s the DAAT searcher returns, folded with
+/// [`ExecReport::absorb`] — no per-field counter copying.
 pub struct CaseResult {
     /// Query-mix label (`topical`, `trec_like`, `frequent_only`).
     pub mix: &'static str,
@@ -218,21 +214,9 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
 
         for (model_label, model) in ranking_models() {
             // One kernel and one (lazily built) bound-table set per
-            // (index, model), shared by every searcher view — the sharing
-            // the physical layer's `with_shared` constructors exist for.
-            let kernel = Arc::new(ScoreKernel::new(model, &index));
-            let bounds = Arc::new(OnceLock::new());
-            let daat = DaatSearcher::with_shared(&index, Arc::clone(&kernel), Arc::clone(&bounds));
-            let mut pruned_op = PrunedDaatOp(DaatSearcher::with_shared(
-                &index,
-                Arc::clone(&kernel),
-                Arc::clone(&bounds),
-            ));
-            let mut exhaustive_op = ExhaustiveDaatOp(DaatSearcher::with_shared(
-                &index,
-                Arc::clone(&kernel),
-                Arc::clone(&bounds),
-            ));
+            // (index, model), serving both the pruned and the exhaustive
+            // path.
+            let daat = DaatSearcher::new(&index, model);
 
             // Flat runs for the seed baseline, decoded outside the timed
             // region: the seed's storage was flat, so its merge never paid
@@ -246,8 +230,10 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
             let mut pruned_total = ExecReport::default();
             let mut exhaustive_total = ExecReport::default();
             for q in &queries {
-                let pruned = pruned_op.execute(&q.terms, TOP_N).expect("valid query");
-                let full = exhaustive_op.execute(&q.terms, TOP_N).expect("valid query");
+                let pruned = daat.search(&q.terms, TOP_N).expect("valid query");
+                let full = daat
+                    .search_exhaustive(&q.terms, TOP_N)
+                    .expect("valid query");
                 assert_eq!(
                     pruned.top, full.top,
                     "pruned DAAT diverged ({mix_label}, {model_label}, {:?})",
@@ -281,7 +267,7 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
             let mut run_exhaustive = || {
                 for q in &queries {
                     let _ = std::hint::black_box(
-                        daat.search_exhaustive_into(&q.terms, TOP_N, &mut scratch_ex)
+                        daat.search_exhaustive_into(&q.terms, TOP_N, &gate, &mut scratch_ex)
                             .expect("valid query"),
                     );
                 }

@@ -63,9 +63,10 @@
 //! (postings whose weight was computed) shrinks, and every other posting of
 //! the query's runs is counted in `docs_skipped`.
 //!
-//! The `_into` entry points ([`DaatSearcher::search_into`],
-//! [`DaatSearcher::search_exhaustive_into`]) run on a caller-owned
-//! [`QueryScratch`] and leave the ranking in `scratch.out`: after the
+//! Every entry point returns an [`ExecReport`]. The `_into` entry points
+//! ([`DaatSearcher::search_into`], [`DaatSearcher::search_exhaustive_into`])
+//! run on a caller-owned [`QueryScratch`] and leave the ranking in
+//! `scratch.out`, so the report they return has an empty `top`: after the
 //! first query at a given shape they perform **zero heap allocations**
 //! (see `crates/ir/tests/alloc_steady_state.rs`); the window lanes grow
 //! on the first window a shape decodes and are kept.
@@ -79,6 +80,7 @@ use moa_topn::TopNHeap;
 use crate::blocks::{CursorBuf, CursorPos, TermView, MINI_LEN};
 use crate::error::Result;
 use crate::index::InvertedIndex;
+use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
 use crate::scorer::{BlockBound, ScoreBounds, ScoreKernel};
 use crate::scratch::{NeBound, QueryScratch, TermMeta};
@@ -90,74 +92,6 @@ use crate::threshold::BoundGate;
 /// they stay in L2 — and 4096 ids span dozens of blocks of a frequent
 /// term, so the per-window sync is paid once per hundreds of postings.
 pub const WINDOW: usize = 4096;
-
-/// Work counters of one document-at-a-time evaluation (results live in
-/// the scratch's `out` buffer on the `_into` paths).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[must_use]
-pub struct DaatStats {
-    /// Postings consumed and scored (the element-at-a-time work measure).
-    pub postings_scanned: usize,
-    /// Cursor-advance operations performed.
-    pub cursor_advances: usize,
-    /// Postings bypassed without scoring (via seeks or pruned tails).
-    /// `postings_scanned + docs_skipped` equals the exhaustive merge's
-    /// posting volume.
-    pub docs_skipped: usize,
-    /// Skip (`seek`) calls issued.
-    pub seeks: usize,
-    /// Documents abandoned because partial score + remaining bound could
-    /// not enter the top-N heap.
-    pub bound_exits: usize,
-    /// Documents whose exact score was computed and offered to the heap.
-    pub candidates: usize,
-    /// Whether the evaluation was truncated by an expired per-query
-    /// deadline ([`crate::deadline::DeadlineGate`]). The heap's contents
-    /// are exact scores of the documents evaluated so far; the counters
-    /// describe the work actually performed.
-    pub timed_out: bool,
-}
-
-/// Result of a document-at-a-time evaluation (owning form).
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct DaatReport {
-    /// Top `(doc, score)` pairs, best first.
-    pub top: Vec<(u32, f64)>,
-    /// Postings consumed and scored (the element-at-a-time work measure).
-    pub postings_scanned: usize,
-    /// Cursor-advance operations performed.
-    pub cursor_advances: usize,
-    /// Postings bypassed without scoring (via galloping seeks or pruned
-    /// tails). `postings_scanned + docs_skipped` equals the exhaustive
-    /// merge's posting volume.
-    pub docs_skipped: usize,
-    /// Galloping `seek` calls issued on non-essential cursors.
-    pub seeks: usize,
-    /// Documents abandoned because partial score + remaining bound could
-    /// not enter the top-N heap.
-    pub bound_exits: usize,
-    /// Documents whose exact score was computed and offered to the heap.
-    pub candidates: usize,
-    /// Whether the evaluation was truncated by an expired per-query
-    /// deadline (partial but exact top; honest work counters).
-    pub timed_out: bool,
-}
-
-impl DaatStats {
-    fn into_report(self, top: Vec<(u32, f64)>) -> DaatReport {
-        DaatReport {
-            top,
-            postings_scanned: self.postings_scanned,
-            cursor_advances: self.cursor_advances,
-            docs_skipped: self.docs_skipped,
-            seeks: self.seeks,
-            bound_exits: self.bound_exits,
-            candidates: self.candidates,
-            timed_out: self.timed_out,
-        }
-    }
-}
 
 /// A document-at-a-time evaluator over block-compressed posting cursors,
 /// with a per-index scoring kernel built once and reused across queries.
@@ -339,48 +273,43 @@ impl<'a> DaatSearcher<'a> {
             .get_or_init(|| ScoreBounds::new(&self.kernel, self.index))
     }
 
-    /// The scoring kernel (per-index precomputed state) in use.
-    pub fn kernel(&self) -> &ScoreKernel {
-        &self.kernel
-    }
-
     /// Evaluate a query document-at-a-time with MaxScore pruning,
     /// returning the top `n`. Bit-exact with
     /// [`DaatSearcher::search_exhaustive`]; strictly less work whenever
     /// the heap threshold disqualifies low-bound terms. Allocating
     /// convenience wrapper over [`DaatSearcher::search_into`].
-    pub fn search(&self, terms: &[u32], n: usize) -> Result<DaatReport> {
-        self.search_gated(terms, n, &BoundGate::none())
-    }
-
-    /// [`DaatSearcher::search`] with a cross-engine threshold hook: every
-    /// pruning gate additionally consults `gate` (documents whose bound
-    /// falls strictly below the propagated global threshold are skipped
-    /// even while the local heap still has room for them), and the local
-    /// N-th score is published back through the gate: after every heap
-    /// insertion of the phase-1 warm-up merge, then in phase 2 once per
-    /// window sync (when it has risen) and once at the end. A peer that
-    /// reads between publications sees a lower threshold and only prunes
-    /// less. The *local* top-N may therefore lose tail entries that cannot
-    /// make the global top-N; the cross-shard merge remains bit-exact.
-    pub fn search_gated(&self, terms: &[u32], n: usize, gate: &BoundGate) -> Result<DaatReport> {
+    pub fn search(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();
-        let stats = self.search_into(terms, n, gate, &mut scratch)?;
-        Ok(stats.into_report(std::mem::take(&mut scratch.out)))
+        let report = self.search_into(terms, n, &BoundGate::none(), &mut scratch)?;
+        Ok(ExecReport {
+            top: std::mem::take(&mut scratch.out),
+            ..report
+        })
     }
 
     /// The MaxScore + block-max pruned kernel on a caller-owned
     /// [`QueryScratch`]: the top `n` lands in `scratch.out` (best first)
-    /// and the counters come back by value. Steady-state calls (same or
-    /// smaller query shape as previously seen by this scratch) perform
-    /// zero heap allocations.
+    /// and the counters come back in a report whose `top` is empty.
+    /// Steady-state calls (same or smaller query shape as previously seen
+    /// by this scratch) perform zero heap allocations.
+    ///
+    /// Every pruning gate additionally consults `gate` (documents whose
+    /// bound falls strictly below the propagated global threshold are
+    /// skipped even while the local heap still has room for them), and
+    /// the local N-th score is published back through the gate: after
+    /// every heap insertion of the phase-1 warm-up merge, then in phase 2
+    /// once per window sync (when it has risen) and once at the end. A
+    /// peer that reads between publications sees a lower threshold and
+    /// only prunes less. The *local* top-N may therefore lose tail entries
+    /// that cannot make the global top-N; the cross-shard merge remains
+    /// bit-exact.
     pub fn search_into(
         &self,
         terms: &[u32],
         n: usize,
         gate: &BoundGate,
         scratch: &mut QueryScratch,
-    ) -> Result<DaatStats> {
+    ) -> Result<ExecReport> {
         self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
     }
 
@@ -396,7 +325,7 @@ impl<'a> DaatSearcher<'a> {
         gate: &BoundGate,
         scratch: &mut QueryScratch,
         mut on_sync: impl FnMut(),
-    ) -> Result<DaatStats> {
+    ) -> Result<ExecReport> {
         // Stage clocks: one `Instant` read per stage *boundary* — setup
         // (gate pass), warm-up merge (decode), pruned scan (score), heap
         // drain (merge) — never inside the per-posting loops, so the
@@ -459,7 +388,7 @@ impl<'a> DaatSearcher<'a> {
         contrib.resize(m, 0.0);
         phases.add(Phase::GatePass, t_gate_pass.elapsed());
 
-        let mut stats = DaatStats::default();
+        let mut stats = ExecReport::default();
         let t_decode = Instant::now();
 
         // Phase 1 — warm-up merge: while the heap is not full every
@@ -477,7 +406,7 @@ impl<'a> DaatSearcher<'a> {
             // Deadline poll at the candidate boundary: truncation only —
             // every score already in the heap is exact.
             if gate.expired() {
-                stats.timed_out = true;
+                stats.partial = true;
                 break;
             }
             let next_doc = cur.iter().copied().min().unwrap_or(u32::MAX);
@@ -493,7 +422,6 @@ impl<'a> DaatSearcher<'a> {
                     view.advance(&mut pos[i], &mut bufs[i]);
                     cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
                     stats.postings_scanned += 1;
-                    stats.cursor_advances += 1;
                 }
             }
             // Sum in original query order (bit-exact with the exhaustive
@@ -527,7 +455,7 @@ impl<'a> DaatSearcher<'a> {
         &self,
         scratch: &mut QueryScratch,
         gate: &BoundGate,
-        stats: &mut DaatStats,
+        stats: &mut ExecReport,
         on_sync: &mut impl FnMut(),
     ) {
         // One u64 summarizes which of the W / 64 bit-lane words are in use.
@@ -565,8 +493,8 @@ impl<'a> DaatSearcher<'a> {
             // Expiry truncates between windows (phase 1 may already have
             // observed it).
             on_sync();
-            if stats.timed_out || deadline.is_some_and(|d| d.poll_now()) {
-                stats.timed_out = true;
+            if stats.partial || deadline.is_some_and(|d| d.poll_now()) {
+                stats.partial = true;
                 break;
             }
             publish_risen(heap, gate, &mut published);
@@ -640,7 +568,6 @@ impl<'a> DaatSearcher<'a> {
                 occupied |= words;
                 cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
             }
-            stats.cursor_advances += consumed;
 
             // Pass 2 — candidates in document order. Each non-essential
             // term keeps a shallow pointer to the block whose maximum
@@ -738,7 +665,6 @@ impl<'a> DaatSearcher<'a> {
                             partial += wt;
                             view.advance(&mut pos[j], &mut bufs[j]);
                             stats.postings_scanned += 1;
-                            stats.cursor_advances += 1;
                         }
                         cur[j] = view.doc_at(&pos[j], &bufs[j]).unwrap_or(u32::MAX);
                     }
@@ -777,35 +703,28 @@ impl<'a> DaatSearcher<'a> {
     /// unpruned baseline that experiments E14/E17 measure [`Self::search`]
     /// against, and the element-at-a-time work reference of E13.
     /// Allocating wrapper over [`DaatSearcher::search_exhaustive_into`].
-    pub fn search_exhaustive(&self, terms: &[u32], n: usize) -> Result<DaatReport> {
+    pub fn search_exhaustive(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();
-        let stats = self.search_exhaustive_into(terms, n, &mut scratch)?;
-        Ok(stats.into_report(std::mem::take(&mut scratch.out)))
+        let report = self.search_exhaustive_into(terms, n, &BoundGate::none(), &mut scratch)?;
+        Ok(ExecReport {
+            top: std::mem::take(&mut scratch.out),
+            ..report
+        })
     }
 
-    /// The exhaustive cursor merge on a caller-owned scratch. Never
+    /// The exhaustive cursor merge on a caller-owned scratch: the top `n`
+    /// lands in `scratch.out` and the report's `top` is empty. Never
     /// triggers the lazy [`ScoreBounds`] build — the plain merge needs no
-    /// bound tables.
+    /// bound tables. It cannot prune on `gate`'s threshold, but it polls
+    /// the gate's per-query deadline at each candidate boundary and
+    /// truncates honestly once the budget is spent.
     pub fn search_exhaustive_into(
-        &self,
-        terms: &[u32],
-        n: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<DaatStats> {
-        self.search_exhaustive_gated_into(terms, n, &BoundGate::none(), scratch)
-    }
-
-    /// [`DaatSearcher::search_exhaustive_into`] with a gate hook: the
-    /// exhaustive merge cannot prune on a threshold, but it polls the
-    /// gate's per-query deadline at each candidate boundary and truncates
-    /// honestly once the budget is spent.
-    pub fn search_exhaustive_gated_into(
         &self,
         terms: &[u32],
         n: usize,
         gate: &BoundGate,
         scratch: &mut QueryScratch,
-    ) -> Result<DaatStats> {
+    ) -> Result<ExecReport> {
         let t_gate_pass = Instant::now();
         let blocks = self.index.blocks();
         let m = terms.len();
@@ -842,7 +761,7 @@ impl<'a> DaatSearcher<'a> {
         }
         phases.add(Phase::GatePass, t_gate_pass.elapsed());
 
-        let mut stats = DaatStats::default();
+        let mut stats = ExecReport::default();
         // The exhaustive merge has no pruned-scan stage: every posting is
         // decoded and scored, so the whole loop is one decode span.
         let t_decode = Instant::now();
@@ -854,7 +773,7 @@ impl<'a> DaatSearcher<'a> {
             // Deadline poll at the candidate boundary — the exhaustive
             // merge degrades to a document-id-prefix evaluation.
             if gate.expired() {
-                stats.timed_out = true;
+                stats.partial = true;
                 break;
             }
             // Accumulate this document's score from every matching cursor
@@ -869,7 +788,6 @@ impl<'a> DaatSearcher<'a> {
                     view.advance(&mut pos[i], &mut bufs[i]);
                     cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
                     stats.postings_scanned += 1;
-                    stats.cursor_advances += 1;
                 }
             }
             heap.push(next_doc, score);
@@ -950,16 +868,21 @@ mod tests {
                 let stats = daat
                     .search_into(&q.terms, n, &BoundGate::none(), &mut reused)
                     .unwrap();
+                assert!(stats.top.is_empty(), "the ranking stays in the scratch");
                 let fresh = daat.search(&q.terms, n).unwrap();
-                assert_eq!(reused.out, fresh.top, "query {:?} n={n}", q.terms);
-                assert_eq!(stats.postings_scanned, fresh.postings_scanned);
-                assert_eq!(stats.docs_skipped, fresh.docs_skipped);
-                assert_eq!(stats.seeks, fresh.seeks);
-                assert_eq!(stats.bound_exits, fresh.bound_exits);
-                assert_eq!(stats.candidates, fresh.candidates);
+                // Every counter, `partial` and the ranking.
+                assert_eq!(
+                    ExecReport {
+                        top: reused.out.clone(),
+                        ..stats.clone()
+                    },
+                    fresh,
+                    "query {:?} n={n}",
+                    q.terms
+                );
                 // Exhaustive reuse through the same scratch too.
                 let ex = daat
-                    .search_exhaustive_into(&q.terms, n, &mut reused)
+                    .search_exhaustive_into(&q.terms, n, &BoundGate::none(), &mut reused)
                     .unwrap();
                 assert_eq!(reused.out, fresh.top);
                 assert_eq!(
@@ -1031,7 +954,6 @@ mod tests {
         let expect: usize = q.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
         let rep = daat.search_exhaustive(&q, 10).unwrap();
         assert_eq!(rep.postings_scanned, expect);
-        assert_eq!(rep.cursor_advances, expect);
         assert_eq!(rep.docs_skipped, 0);
         assert_eq!(rep.seeks, 0);
         assert_eq!(rep.bound_exits, 0);
@@ -1121,7 +1043,7 @@ mod tests {
         n: usize,
         gate: &BoundGate,
         scratch: &mut QueryScratch,
-    ) -> (DaatStats, usize) {
+    ) -> (ExecReport, usize) {
         let mut syncs = 0usize;
         let stats = daat
             .search_windowed::<NARROW>(terms, n, gate, scratch, || syncs += 1)
@@ -1154,7 +1076,7 @@ mod tests {
                         volume,
                         "{ctx}: work ledger"
                     );
-                    assert!(!stats.timed_out);
+                    assert!(!stats.partial);
                     // The production width answers the same.
                     assert_eq!(scratch.out, daat.search(terms, n).unwrap().top, "{ctx}");
                 }
@@ -1198,7 +1120,7 @@ mod tests {
                             })
                             .unwrap();
                         let ctx = format!("{model:?} {terms:?} n={n} expired at sync {k}/{syncs}");
-                        assert!(stats.timed_out, "{ctx}");
+                        assert!(stats.partial, "{ctx}");
                         assert_eq!(seen, k, "{ctx}: no window after the expired sync");
                         assert!(stats.postings_scanned <= full.postings_scanned, "{ctx}");
                         assert!(scratch.out.len() <= full_top.len(), "{ctx}");

@@ -12,169 +12,44 @@
 //! (e.g. an idf of exactly zero when `df == N`) can never double-push a
 //! document, and no O(num_docs) reset is needed between queries.
 
-use std::sync::Arc;
-
 use moa_topn::TopNHeap;
 
 use crate::accum::EpochAccumulator;
 use crate::error::Result;
 use crate::index::InvertedIndex;
+use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
 use crate::scorer::ScoreKernel;
-
-/// Result of a ranked query evaluation.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct SearchReport {
-    /// Top `(doc, score)` pairs, best first (score desc, doc id asc).
-    pub top: Vec<(u32, f64)>,
-    /// Postings read while evaluating.
-    pub postings_scanned: usize,
-    /// Query terms that contributed at least one posting.
-    pub terms_matched: usize,
-    /// Documents whose score was accumulated and offered to the heap.
-    pub candidates: usize,
-    /// Whether the evaluation was truncated by an expired per-query
-    /// deadline. The accumulator path polls at every run boundary *and*
-    /// every [`crate::fragment::SCAN_POLL_STRIDE`] postings inside a run,
-    /// so even a single giant run stops within about a thousand postings
-    /// of expiry. A document's accumulated sum is only exact once *every*
-    /// run has been consumed, so a timed-out evaluation returns an
-    /// **empty** `top` — partial sums are not exact scores and are never
-    /// surfaced as a ranking — while the counters stay honest about the
-    /// work performed.
-    pub timed_out: bool,
-}
+use crate::threshold::BoundGate;
 
 /// A reusable query evaluator with a workhorse score accumulator.
 #[derive(Debug)]
 pub struct Searcher<'a> {
     index: &'a InvertedIndex,
-    kernel: Arc<ScoreKernel>,
+    kernel: ScoreKernel,
     accum: EpochAccumulator,
 }
 
 impl<'a> Searcher<'a> {
     /// Create a searcher over an index with a ranking model.
     pub fn new(index: &'a InvertedIndex, model: RankingModel) -> Searcher<'a> {
-        let kernel = Arc::new(ScoreKernel::new(model, index));
-        let accum = EpochAccumulator::new(index.num_docs());
-        Searcher::with_state(index, kernel, accum)
-    }
-
-    /// Create a searcher view over shared per-index state. `kernel` must
-    /// have been built for `index` with the desired model; `accum` is the
-    /// (possibly reused) score accumulator, sized to the index — the
-    /// physical layer swaps one accumulator through short-lived views.
-    pub fn with_state(
-        index: &'a InvertedIndex,
-        kernel: Arc<ScoreKernel>,
-        accum: EpochAccumulator,
-    ) -> Searcher<'a> {
         Searcher {
             index,
-            kernel,
-            accum,
+            kernel: ScoreKernel::new(model, index),
+            accum: EpochAccumulator::new(index.num_docs()),
         }
-    }
-
-    /// Tear the searcher down into its reusable accumulator.
-    pub fn into_accum(self) -> EpochAccumulator {
-        self.accum
-    }
-
-    /// The ranking model in use.
-    pub fn model(&self) -> RankingModel {
-        self.kernel.model()
     }
 
     /// Evaluate a bag-of-terms query, returning the top `n` documents.
-    pub fn search(&mut self, terms: &[u32], n: usize) -> Result<SearchReport> {
-        self.search_gated(terms, n, &crate::threshold::BoundGate::none())
-    }
-
-    /// [`Searcher::search`] with a gate hook: the accumulator path cannot
-    /// prune on a threshold, but it polls the gate's per-query deadline
-    /// between term runs. On expiry it retires the accumulator cleanly
-    /// and reports `timed_out` with an empty ranking (partial sums are
-    /// not exact scores; see [`SearchReport::timed_out`]).
-    pub fn search_gated(
-        &mut self,
-        terms: &[u32],
-        n: usize,
-        gate: &crate::threshold::BoundGate,
-    ) -> Result<SearchReport> {
-        // Validate every term before touching the accumulator: a mid-query
-        // error must not strand partial scores in a shared accumulator
-        // (the physical layer reuses one across queries), or the next
-        // query would inherit stale touched documents.
-        for &term in terms {
-            let _ = self.index.df(term)?;
-        }
-        let mut scanned = 0usize;
-        let mut matched = 0usize;
-        let mut timed_out = false;
-        for &term in terms {
-            // Deadline poll at the run boundary: an expired query stops
-            // consuming runs; the retire below keeps the shared
-            // accumulator clean for the next query.
-            if gate.expired() {
-                timed_out = true;
-                break;
-            }
-            let df = self.index.df(term)?;
-            let cf = self.index.cf(term)?;
-            let scorer = self.kernel.term_scorer(df, cf);
-            if self.index.run_len(term)? > 0 {
-                matched += 1;
-            }
-            // Stream the run straight off the block-compressed storage
-            // (block-by-block decode on a stack buffer, no allocation);
-            // document order matches the flat layout, so the accumulation
-            // order — and every resulting f64 — is unchanged. The poll
-            // re-fires every SCAN_POLL_STRIDE postings *inside* the run,
-            // so a giant run stops within a stride of expiry instead of
-            // at its end.
-            let kernel = &self.kernel;
-            let accum = &mut self.accum;
-            let mut in_run = 0usize;
-            let completed = self.index.for_each_posting_while(term, |doc, tf| {
-                if in_run.is_multiple_of(crate::fragment::SCAN_POLL_STRIDE)
-                    && in_run > 0
-                    && gate.expired()
-                {
-                    return false;
-                }
-                in_run += 1;
-                let w = kernel.weight(&scorer, tf, doc);
-                accum.add(doc, w);
-                scanned += 1;
-                true
-            })?;
-            if !completed {
-                timed_out = true;
-                break;
-            }
-        }
-
-        let mut heap = TopNHeap::new(n);
-        if !timed_out {
-            for &doc in self.accum.touched() {
-                heap.push(doc, self.accum.score(doc));
-            }
-        }
-        // Epoch bump retires this query's slots without any reset pass —
-        // including the partial sums of a timed-out query.
-        self.accum.retire();
-
-        let candidates = heap.pushes();
-        Ok(SearchReport {
-            top: heap.into_sorted_vec(),
-            postings_scanned: scanned,
-            terms_matched: matched,
-            candidates,
-            timed_out,
-        })
+    pub fn search(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
+        set_at_a_time(
+            self.index,
+            &self.kernel,
+            &mut self.accum,
+            terms,
+            n,
+            &BoundGate::none(),
+        )
     }
 
     /// Full ranking of every matching document (reference for metrics).
@@ -182,6 +57,93 @@ impl<'a> Searcher<'a> {
         let n = self.index.num_docs();
         Ok(self.search(terms, n)?.top)
     }
+}
+
+/// Set-at-a-time evaluation of a bag-of-terms query: stream every term's
+/// run into `accum`, then offer each touched document to a top-`n` heap.
+/// `kernel` must have been built for `index`, and `accum` sized to it;
+/// [`Searcher`] and [`crate::physical::EngineSet`] each own one
+/// accumulator and lend it here.
+///
+/// The accumulator path cannot prune on `gate`'s threshold, but it polls
+/// the gate's per-query deadline at every run boundary *and* every
+/// [`crate::fragment::SCAN_POLL_STRIDE`] postings inside a run, so even a
+/// single giant run stops within about a thousand postings of expiry. A
+/// document's accumulated sum is only exact once *every* run has been
+/// consumed, so an expired evaluation is `partial` with an **empty**
+/// `top` — partial sums are not exact scores and are never surfaced as a
+/// ranking — while the counters stay honest about the work performed.
+pub(crate) fn set_at_a_time(
+    index: &InvertedIndex,
+    kernel: &ScoreKernel,
+    accum: &mut EpochAccumulator,
+    terms: &[u32],
+    n: usize,
+    gate: &BoundGate,
+) -> Result<ExecReport> {
+    // Validate every term before touching the accumulator: a mid-query
+    // error must not strand partial scores in a shared accumulator (the
+    // physical layer reuses one across queries), or the next query would
+    // inherit stale touched documents.
+    for &term in terms {
+        let _ = index.df(term)?;
+    }
+    let mut scanned = 0usize;
+    let mut partial = false;
+    for &term in terms {
+        // Deadline poll at the run boundary: an expired query stops
+        // consuming runs; the retire below keeps the shared accumulator
+        // clean for the next query.
+        if gate.expired() {
+            partial = true;
+            break;
+        }
+        let df = index.df(term)?;
+        let cf = index.cf(term)?;
+        let scorer = kernel.term_scorer(df, cf);
+        // Stream the run straight off the block-compressed storage
+        // (block-by-block decode on a stack buffer, no allocation);
+        // document order matches the flat layout, so the accumulation
+        // order — and every resulting f64 — is unchanged. The poll
+        // re-fires every SCAN_POLL_STRIDE postings *inside* the run, so a
+        // giant run stops within a stride of expiry instead of at its end.
+        let mut in_run = 0usize;
+        let completed = index.for_each_posting_while(term, |doc, tf| {
+            if in_run.is_multiple_of(crate::fragment::SCAN_POLL_STRIDE)
+                && in_run > 0
+                && gate.expired()
+            {
+                return false;
+            }
+            in_run += 1;
+            let w = kernel.weight(&scorer, tf, doc);
+            accum.add(doc, w);
+            scanned += 1;
+            true
+        })?;
+        if !completed {
+            partial = true;
+            break;
+        }
+    }
+
+    let mut heap = TopNHeap::new(n);
+    if !partial {
+        for &doc in accum.touched() {
+            heap.push(doc, accum.score(doc));
+        }
+    }
+    // Epoch bump retires this query's slots without any reset pass —
+    // including the partial sums of an expired query.
+    accum.retire();
+
+    Ok(ExecReport {
+        candidates: heap.pushes(),
+        top: heap.into_sorted_vec(),
+        postings_scanned: scanned,
+        partial,
+        ..ExecReport::default()
+    })
 }
 
 #[cfg(test)]
@@ -205,8 +167,8 @@ mod tests {
         assert!(!rep.top.is_empty());
         assert!(rep.top.len() <= 10);
         assert!(rep.top.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert!(rep.postings_scanned > 0);
-        assert_eq!(rep.terms_matched, 2);
+        let volume: usize = q.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
+        assert_eq!(rep.postings_scanned, volume, "both terms' runs are read");
     }
 
     #[test]
@@ -313,7 +275,7 @@ mod tests {
         let mut s = Searcher::new(&idx, RankingModel::default());
         let rep = s.search(&[dead], 5).unwrap();
         assert!(rep.top.is_empty());
-        assert_eq!(rep.terms_matched, 0);
+        assert_eq!(rep.postings_scanned, 0);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!   matrix (Step 1 of the paper): the unsafe fragment-A-only strategy, the
 //!   safe switch strategy, and non-dense-index-accelerated fragment-B access,
 //! * [`safety`] — the early quality check that triggers the switch,
-//! * [`physical`] — the unified physical retrieval layer: every engine
-//!   path as a [`RetrievalOp`] with unified [`ExecReport`] counters,
-//!   dispatched by [`EngineSet`] so a cost-driven planner can pick among
-//!   them,
+//! * [`physical`] — the unified physical retrieval layer: every searcher
+//!   returns one [`ExecReport`] shape, and [`EngineSet::execute`] runs any
+//!   [`PhysicalPlan`] so a cost-driven planner can pick among them,
 //! * [`metrics`] — precision/recall/AP and ranking-overlap metrics.
 
 #![warn(missing_docs)]
@@ -55,20 +54,17 @@ pub mod threshold;
 
 pub use accum::EpochAccumulator;
 pub use blocks::{BlockHeader, BlockPostingList, CursorBuf, BLOCK_LEN};
-pub use daat::{DaatReport, DaatSearcher, DaatStats};
+pub use daat::DaatSearcher;
 pub use deadline::DeadlineGate;
 pub use dict::Dictionary;
 pub use error::{IrError, Result};
-pub use eval::{SearchReport, Searcher};
+pub use eval::Searcher;
 pub use fragment::{
     FragSearchReport, FragSearcher, FragmentSpec, FragmentedIndex, ScanStats, Strategy, TdTable,
 };
 pub use index::{CollectionStats, InvertedIndex, PostingCursor};
 pub use metrics::{average_precision, footrule_at, mean_of, overlap_at, precision_at, recall_at};
-pub use physical::{
-    EngineSet, ExecReport, ExhaustiveDaatOp, FragmentedOp, PhysicalPlan, PrunedDaatOp, RetrievalOp,
-    SetAtATimeOp,
-};
+pub use physical::{EngineSet, ExecReport, PhysicalPlan};
 pub use ranking::RankingModel;
 pub use safety::{SwitchDecision, SwitchPolicy};
 pub use scorer::{BlockBound, ScoreBounds, ScoreKernel, TermScorer};

@@ -1,20 +1,19 @@
-//! The physical retrieval layer: one operator interface over all four
-//! engine paths.
+//! The physical retrieval layer: one entry point over all four engine
+//! paths.
 //!
 //! The paper's Step 3 asks for a *centralized* cost model that picks the
 //! execution strategy. That is only possible when the strategies are
-//! interchangeable behind one interface — before this layer, the
-//! MaxScore-pruned DAAT kernel, the exhaustive cursor merge, the
-//! set-at-a-time [`Searcher`], and the fragmented [`FragSearcher`] lived
-//! behind four incompatible APIs and were chosen by hand per experiment.
+//! interchangeable — the MaxScore-pruned DAAT kernel, the exhaustive
+//! cursor merge, the set-at-a-time [`crate::eval::Searcher`] path, and the
+//! fragmented [`FragSearcher`] — and report their work in one shape:
 //!
 //! * [`PhysicalPlan`] names every physical alternative (the Cascades-style
 //!   physical side of the logical `rank` operator),
-//! * [`RetrievalOp`] is the uniform executable operator: every engine path
-//!   implements it and yields an [`ExecReport`] with unified work counters,
+//! * [`ExecReport`] is the one report every searcher returns, with unified
+//!   work counters,
 //! * [`EngineSet`] owns the shared per-index state (one [`ScoreKernel`],
 //!   one lazily built [`ScoreBounds`], one accumulator, one
-//!   [`FragSearcher`]) and executes whichever plan the
+//!   [`FragSearcher`]) and [`EngineSet::execute`] runs whichever plan the
 //!   `moa_core::planner` — or a caller directly — selects.
 //!
 //! Every *exact* plan returns a top-N that is bit-identical to the naive
@@ -24,9 +23,9 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::accum::EpochAccumulator;
-use crate::daat::{DaatReport, DaatSearcher, DaatStats};
+use crate::daat::DaatSearcher;
 use crate::error::Result;
-use crate::eval::{SearchReport, Searcher};
+use crate::eval::set_at_a_time;
 use crate::fragment::{FragSearchReport, FragSearcher, FragmentedIndex, Strategy};
 use crate::ranking::RankingModel;
 use crate::safety::SwitchPolicy;
@@ -134,50 +133,6 @@ impl ExecReport {
     }
 }
 
-impl From<DaatReport> for ExecReport {
-    fn from(r: DaatReport) -> ExecReport {
-        ExecReport {
-            top: r.top,
-            postings_scanned: r.postings_scanned,
-            docs_skipped: r.docs_skipped,
-            seeks: r.seeks,
-            bound_exits: r.bound_exits,
-            candidates: r.candidates,
-            partial: r.timed_out,
-        }
-    }
-}
-
-impl DaatStats {
-    /// Pair scratch-path counters with an owned ranking into the unified
-    /// report shape.
-    fn with_top(self, top: Vec<(u32, f64)>) -> ExecReport {
-        ExecReport {
-            top,
-            postings_scanned: self.postings_scanned,
-            docs_skipped: self.docs_skipped,
-            seeks: self.seeks,
-            bound_exits: self.bound_exits,
-            candidates: self.candidates,
-            partial: self.timed_out,
-        }
-    }
-}
-
-impl From<SearchReport> for ExecReport {
-    fn from(r: SearchReport) -> ExecReport {
-        ExecReport {
-            top: r.top,
-            postings_scanned: r.postings_scanned,
-            docs_skipped: 0,
-            seeks: 0,
-            bound_exits: 0,
-            candidates: r.candidates,
-            partial: r.timed_out,
-        }
-    }
-}
-
 impl From<FragSearchReport> for ExecReport {
     fn from(r: FragSearchReport) -> ExecReport {
         ExecReport {
@@ -189,76 +144,6 @@ impl From<FragSearchReport> for ExecReport {
             candidates: r.candidates,
             partial: r.timed_out,
         }
-    }
-}
-
-/// A uniformly executable physical retrieval operator.
-pub trait RetrievalOp {
-    /// The operator's display name.
-    fn name(&self) -> &'static str;
-    /// Evaluate a bag-of-terms query, returning the top `n` with unified
-    /// work counters.
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport>;
-}
-
-/// The MaxScore-pruned DAAT kernel as a physical operator.
-#[derive(Debug)]
-pub struct PrunedDaatOp<'a>(pub DaatSearcher<'a>);
-
-impl RetrievalOp for PrunedDaatOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::PrunedDaat.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search(terms, n)?.into())
-    }
-}
-
-/// The exhaustive cursor merge as a physical operator.
-#[derive(Debug)]
-pub struct ExhaustiveDaatOp<'a>(pub DaatSearcher<'a>);
-
-impl RetrievalOp for ExhaustiveDaatOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::ExhaustiveDaat.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search_exhaustive(terms, n)?.into())
-    }
-}
-
-/// The set-at-a-time accumulator engine as a physical operator.
-#[derive(Debug)]
-pub struct SetAtATimeOp<'a>(pub Searcher<'a>);
-
-impl RetrievalOp for SetAtATimeOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::SetAtATime.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search(terms, n)?.into())
-    }
-}
-
-/// One fragmented strategy as a physical operator.
-#[derive(Debug)]
-pub struct FragmentedOp<'a> {
-    /// The (shared, reusable) fragmented evaluator.
-    pub searcher: &'a mut FragSearcher,
-    /// The strategy this operator instance executes.
-    pub strategy: Strategy,
-}
-
-impl RetrievalOp for FragmentedOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::Fragmented(self.strategy).name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.searcher.search(terms, n, self.strategy)?.into())
     }
 }
 
@@ -388,8 +273,8 @@ impl EngineSet {
         self.frag_searcher.reset_scratch();
     }
 
-    /// Execute `plan` for a query, dispatching through the uniform
-    /// [`RetrievalOp`] interface.
+    /// Execute `plan` for a query and report its work in the unified
+    /// [`ExecReport`] shape.
     pub fn execute(&mut self, plan: PhysicalPlan, terms: &[u32], n: usize) -> Result<ExecReport> {
         self.execute_gated(plan, terms, n, &BoundGate::none())
     }
@@ -399,6 +284,10 @@ impl EngineSet {
     /// consult and feed `gate` inside their hot loops; the exhaustive
     /// paths cannot skip work on it but still publish their N-th score so
     /// concurrent engines tighten off this one's result.
+    ///
+    /// A top-N deeper than the collection is its full ranking, so `n` is
+    /// clamped to the document count (shard indexes carry the global
+    /// one) before any path sizes a heap by it.
     pub fn execute_gated(
         &mut self,
         plan: PhysicalPlan,
@@ -406,6 +295,7 @@ impl EngineSet {
         n: usize,
         gate: &BoundGate,
     ) -> Result<ExecReport> {
+        let n = n.min(self.frag.index().num_docs());
         let report: Result<ExecReport> = match plan {
             PhysicalPlan::PrunedDaat => {
                 let daat = DaatSearcher::with_shared(
@@ -414,7 +304,10 @@ impl EngineSet {
                     Arc::clone(&self.daat_bounds),
                 );
                 daat.search_into(terms, n, gate, &mut self.scratch)
-                    .map(|stats| stats.with_top(self.scratch.out.clone()))
+                    .map(|report| ExecReport {
+                        top: self.scratch.out.clone(),
+                        ..report
+                    })
             }
             PhysicalPlan::ExhaustiveDaat => {
                 let daat = DaatSearcher::with_shared(
@@ -422,23 +315,28 @@ impl EngineSet {
                     Arc::clone(&self.kernel),
                     Arc::clone(&self.daat_bounds),
                 );
-                daat.search_exhaustive_gated_into(terms, n, gate, &mut self.scratch)
-                    .map(|stats| stats.with_top(self.scratch.out.clone()))
+                daat.search_exhaustive_into(terms, n, gate, &mut self.scratch)
+                    .map(|report| ExecReport {
+                        top: self.scratch.out.clone(),
+                        ..report
+                    })
             }
             PhysicalPlan::SetAtATime => {
-                // Swap the long-lived accumulator through a short-lived
-                // searcher view: no per-query O(num_docs) allocation.
-                // Decode and accumulation interleave per term run inside
-                // the searcher, so the whole call is one score span (the
-                // DAAT paths, which have real stage boundaries, break
-                // theirs down further).
+                // The long-lived accumulator is lent to the evaluation: no
+                // per-query O(num_docs) allocation. Decode and
+                // accumulation interleave per term run, so the whole call
+                // is one score span (the DAAT paths, which have real stage
+                // boundaries, break theirs down further).
                 self.scratch.phases.reset();
                 let t_score = std::time::Instant::now();
-                let accum = std::mem::replace(&mut self.saat_accum, EpochAccumulator::new(0));
-                let mut searcher =
-                    Searcher::with_state(self.frag.index(), Arc::clone(&self.kernel), accum);
-                let report = searcher.search_gated(terms, n, gate).map(ExecReport::from);
-                self.saat_accum = searcher.into_accum();
+                let report = set_at_a_time(
+                    self.frag.index(),
+                    &self.kernel,
+                    &mut self.saat_accum,
+                    terms,
+                    n,
+                    gate,
+                );
                 self.scratch
                     .phases
                     .add(moa_obs::Phase::Score, t_score.elapsed());
@@ -616,30 +514,33 @@ mod tests {
     }
 
     #[test]
+    fn a_top_n_deeper_than_the_collection_is_the_full_ranking() {
+        // Every path sizes a heap by `n`; unclamped, `usize::MAX` would
+        // overflow that reservation. Clamped, it is the full ranking:
+        // identical answers and counters to `n = num_docs`.
+        let (c, mut set) = engines();
+        let queries = generate_queries(&c, &QueryConfig::default())
+            .expect("default query workload fits the tiny collection");
+        let num_docs = set.fragments().index().num_docs();
+        for q in queries.iter().take(5) {
+            for plan in PhysicalPlan::ALL {
+                let full = set
+                    .execute(plan, &q.terms, num_docs)
+                    .expect("generated query terms are all in vocabulary");
+                let deeper = set
+                    .execute(plan, &q.terms, usize::MAX)
+                    .expect("generated query terms are all in vocabulary");
+                assert_eq!(deeper, full, "{} (q={:?})", plan.name(), q.terms);
+            }
+        }
+    }
+
+    #[test]
     fn plan_names_are_unique_and_stable() {
         let mut names: Vec<&str> = PhysicalPlan::ALL.iter().map(PhysicalPlan::name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), PhysicalPlan::ALL.len());
         assert_eq!(PhysicalPlan::PrunedDaat.name(), "pruned_daat");
-    }
-
-    #[test]
-    fn trait_object_dispatch_works() {
-        let (c, set) = engines();
-        let queries = generate_queries(&c, &QueryConfig::default())
-            .expect("default query workload fits the tiny collection");
-        let q = &queries[0];
-        let index = Arc::clone(set.fragments());
-        let daat = DaatSearcher::new(index.index(), RankingModel::default());
-        let mut pruned = PrunedDaatOp(daat);
-        let ops: Vec<&mut dyn RetrievalOp> = vec![&mut pruned];
-        for op in ops {
-            let rep = op
-                .execute(&q.terms, 5)
-                .expect("generated query terms are all in vocabulary");
-            assert!(!rep.top.is_empty());
-            assert_eq!(op.name(), "pruned_daat");
-        }
     }
 }

@@ -15,7 +15,8 @@
 //! owns an engine set), and the standalone
 //! [`crate::daat::DaatSearcher::search_into`] /
 //! [`crate::daat::DaatSearcher::search_exhaustive_into`] entry points take
-//! it explicitly.
+//! it explicitly, leave the ranking in its `out` buffer, and return an
+//! [`crate::physical::ExecReport`] whose `top` is empty.
 //!
 //! Layout note: per-term cursor state is kept *structure-of-arrays*
 //! (`TermMeta` / [`CursorPos`] / [`CursorBuf`] in parallel vectors)

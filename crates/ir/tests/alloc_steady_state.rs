@@ -93,7 +93,7 @@ fn steady_state_queries_allocate_nothing() {
             .search_into(&q.terms, n, &gate, &mut scratch)
             .expect("valid query");
         let _ = daat
-            .search_exhaustive_into(&q.terms, n, &mut scratch)
+            .search_exhaustive_into(&q.terms, n, &gate, &mut scratch)
             .expect("valid query");
         expected.push(scratch.out.clone());
     }
@@ -109,7 +109,7 @@ fn steady_state_queries_allocate_nothing() {
                 .expect("valid query");
             checksum += stats.postings_scanned + scratch.out.len();
             let stats = daat
-                .search_exhaustive_into(&q.terms, n, &mut scratch)
+                .search_exhaustive_into(&q.terms, n, &gate, &mut scratch)
                 .expect("valid query");
             checksum += stats.postings_scanned + scratch.out.len();
         }
@@ -135,7 +135,7 @@ fn steady_state_queries_allocate_nothing() {
     // (reuse never changes an answer).
     for (i, q) in queries.iter().enumerate() {
         let _ = daat
-            .search_exhaustive_into(&q.terms, n, &mut scratch)
+            .search_exhaustive_into(&q.terms, n, &gate, &mut scratch)
             .expect("valid query");
         assert_eq!(scratch.out, expected[i], "query {i} diverged after reuse");
     }

@@ -21,13 +21,15 @@
 //!   the workers do;
 //! * staggered columns — with every worker starting its column at a
 //!   different query, a poisoned position still fails alone, reported
-//!   by the first shard in shard order, and deadline partials stay exact.
+//!   by the first shard in shard order, and deadline partials stay exact;
+//! * depth — a top-N deeper than the collection answers the full ranking
+//!   and leaves every shard serving, on every engine path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
-use moa_ir::{InvertedIndex, PhysicalPlan};
+use moa_ir::{InvertedIndex, PhysicalPlan, Searcher, Strategy};
 use moa_serve::{
     silence_worker_panics, AdmissionPolicy, BatchQuery, ServeConfig, ServeError, ServeMode,
     ServeSession, WorkerFault, CALLER_RUNS_MAX_POSTINGS,
@@ -388,7 +390,6 @@ fn expired_deadline_overshoot_is_bounded_by_the_poll_stride_not_the_volume() {
     // boundary-only polling allowed. Pin that tighter bound end to end
     // through the pool, on the full-scan fragmented plan (the widest
     // uninterruptible pass the engine used to have).
-    use moa_ir::Strategy;
     let (_, idx, queries) = fixture();
     let shards = 2usize;
     let overshoot_bound = shards * moa_ir::fragment::SCAN_POLL_STRIDE;
@@ -814,5 +815,74 @@ fn shutdown_reports_worker_panics_instead_of_repanicking() {
     assert_eq!(shards.len(), 2);
     for (s, shard) in shards.iter().enumerate() {
         assert_eq!(shard.id(), s);
+    }
+}
+
+/// The most frequent terms, as many as it takes for every document to
+/// match at least one of them.
+fn query_matching_every_doc(idx: &InvertedIndex) -> Vec<u32> {
+    let mut matched = vec![false; idx.num_docs()];
+    let mut unmatched = idx.num_docs();
+    let mut terms = Vec::new();
+    for &t in idx.terms_by_df_asc().iter().rev() {
+        let (docs, _) = idx.decode_postings(t).expect("in vocabulary");
+        for d in docs {
+            if !std::mem::replace(&mut matched[d as usize], true) {
+                unmatched -= 1;
+            }
+        }
+        terms.push(t);
+        if unmatched == 0 {
+            return terms;
+        }
+    }
+    panic!("some document has no terms");
+}
+
+#[test]
+fn a_top_n_deeper_than_the_collection_answers_the_full_ranking_and_the_shards_keep_serving() {
+    // `usize::MAX` used to overflow the heap reservation inside a shard;
+    // on the set-at-a-time path the unwind also stranded the shard's
+    // accumulator, failing every later query there. A depth beyond the
+    // collection is its full ranking, and the next queries are unchanged.
+    let (_, idx, queries) = fixture();
+    let mut terms: Vec<Vec<u32>> = queries.into_iter().map(|q| q.terms).collect();
+    terms.push(query_matching_every_doc(&idx));
+    let fixed = |plan| ServeConfig {
+        mode: ServeMode::Fixed(plan),
+        ..ServeConfig::planned(2)
+    };
+    let configs = [
+        fixed(PhysicalPlan::SetAtATime),
+        fixed(PhysicalPlan::PrunedDaat),
+        fixed(PhysicalPlan::Fragmented(Strategy::FullScan)),
+        ServeConfig::cached(2),
+    ];
+    for config in configs {
+        let mut svc =
+            ServeSession::new(Arc::clone(&idx), config).expect("tiny index shards cleanly");
+        let mut oracle = Searcher::new(&idx, config.model);
+        for q in &terms {
+            let ctx = format!("{:?} {q:?}", config.mode);
+            let before = svc.submit(q, 10).expect("in vocabulary");
+            let deepest = svc
+                .submit(q, usize::MAX)
+                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+            let full = oracle.search(q, idx.num_docs()).expect("in vocabulary");
+            assert_eq!(bits(&deepest.top), bits(&full.top), "{ctx}");
+            let after = svc.submit(q, 10).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+            assert_eq!(bits(&after.top), bits(&before.top), "{ctx}");
+            let shallower = svc.submit(q, 7).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+            assert_eq!(
+                bits(&shallower.top),
+                bits(&before.top[..before.top.len().min(7)]),
+                "{ctx}"
+            );
+        }
+        let every_doc = svc
+            .submit(terms.last().expect("pushed above"), usize::MAX)
+            .expect("in vocabulary");
+        assert_eq!(every_doc.top.len(), idx.num_docs());
+        assert_eq!(svc.stats().queries_failed, 0);
     }
 }
