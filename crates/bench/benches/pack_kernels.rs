@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the word-parallel bit-pack kernels and
 //! the quantized mini-block bound refinement — the raw per-posting
-//! constants behind E17's decode numbers and the planner's
+//! constants behind `moabench`'s `pack.*` / `blocks.*` decode figures and
+//! the planner's
 //! `decode_posting` / `daat_prune` cost weights.
 //!
 //! Groups:

@@ -73,8 +73,8 @@ fn print_usage() {
     eprintln!("  e11  switch-policy threshold sweep                   (ablation)");
     eprintln!("  e12  ranking-model sensitivity                       (ablation)");
     eprintln!("  e13  set-based vs element-at-a-time                  (paper §3 step 1)");
-    eprintln!("  e14  bounds-pruned DAAT (MaxScore) vs exhaustive     (paper §2/§3)");
-    eprintln!("  e15  cost-driven planner vs best-in-hindsight        (paper §3 step 3)");
-    eprintln!("  e17  block-compressed posting storage: decode + walls  (storage layer)");
     eprintln!("  e19  overload shedding, deadlines, worker fault storm    (serving layer)");
+    eprintln!();
+    eprintln!("  e14-e18, e20 and e21 are retired: the moabench layer metrics");
+    eprintln!("  (operator.*, planner.*, pack.*, blocks.*) and workloads measure them.");
 }

@@ -25,8 +25,9 @@ pub fn run(scale: Scale) -> Table {
     // Element-at-a-time: per-query posting cursors, exhaustive merge; its
     // work totals are the same `ExecReport` counters every other path
     // reports. (The bounds-pruned DAAT kernel is measured separately by
-    // E14; here the unpruned cursor merge is the architectural reference
-    // whose work equals the query terms' posting volume.)
+    // `moabench`'s `operator.*` layer; here the unpruned cursor merge is
+    // the architectural reference whose work equals the query terms'
+    // posting volume.)
     let daat = DaatSearcher::new(&f.index, f.model);
     let t0 = std::time::Instant::now();
     let mut daat_total = ExecReport::default();

@@ -37,29 +37,6 @@ pub fn time_median(k: usize, mut f: impl FnMut()) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// Interleaved best-of-`k` timing of several alternatives: each round
-/// times every routine once back to back, and each routine keeps its
-/// fastest round. Interleaving cancels machine drift *between* the
-/// alternatives (a slowdown mid-measurement hits all of them), and the
-/// minimum is the classic noise-robust statistic on a shared, preemptible
-/// host — the fastest observed run is the one least disturbed by
-/// scheduling. One untimed warm-up round precedes measurement. Returns
-/// one duration per routine, in input order.
-pub fn time_best_interleaved(k: usize, routines: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
-    for f in routines.iter_mut() {
-        f(); // warm-up
-    }
-    let mut best = vec![Duration::MAX; routines.len()];
-    for _ in 0..k.max(1) {
-        for (i, f) in routines.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            f();
-            best[i] = best[i].min(t0.elapsed());
-        }
-    }
-    best
-}
-
 /// Latency percentiles over a set of samples.
 ///
 /// Nearest-rank on the sorted samples (`⌈p/100 · len⌉`-th value): every

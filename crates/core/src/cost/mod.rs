@@ -43,10 +43,11 @@ pub struct CostWeights {
     /// tf)` arrays. Priced as `decode_posting × est_postings` on top of
     /// `rank_posting` for the three decode-paying plans, so the planner's
     /// relative pricing of cursor vs fragmented access reflects the
-    /// layout. E17's cursor-walk measurement (mini-block lazy tf decode
-    /// over the word-parallel kernels) puts the per-posting unpack at
-    /// ~7 ns against a ~35 ns full per-posting scoring pipeline — about
-    /// a fifth of the cost.
+    /// layout. The cursor walk (`moabench`'s
+    /// `blocks.cursor_ns_per_posting`: mini-block lazy tf decode over the
+    /// word-parallel kernels) puts the per-posting unpack at ~7 ns
+    /// against a ~35 ns full per-posting scoring pipeline — about a
+    /// fifth of the cost.
     pub decode_posting: f64,
 }
 
@@ -54,10 +55,12 @@ impl Default for CostWeights {
     fn default() -> Self {
         // The executor counts every touched element as one unit; the
         // pruning fraction starts at the middle of the still-scanned
-        // band experiment E14 measures on the block layout with the
+        // band the pruned kernel leaves on the block layout with the
         // quantized mini-block refinement and the df-weighted frequent
         // query slots (4.1x–7.3x reduction at the calibration scale,
-        // i.e. a 0.14–0.24 residual fraction), pending calibration.
+        // i.e. a 0.14–0.24 residual fraction; the pruned and exhaustive
+        // counters per query mix are pinned in `tests/work_ledger.golden`),
+        // pending calibration.
         CostWeights {
             scan: 1.0,
             compare: 1.0,

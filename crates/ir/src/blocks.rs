@@ -4,8 +4,9 @@
 //! every posting cost two 4-byte loads from two parallel arrays, and every
 //! skip decision cost extra loads from *separate* block-max tables — at
 //! memory-bandwidth speed the constant factor per posting dominates the
-//! pruned DAAT kernel (BENCH_daat.json: 2.3–3.4x fewer postings scanned,
-//! only 1.1–1.8x wall-time). This module is the storage-format fix, after
+//! pruned DAAT kernel (2.3–3.4x fewer postings scanned bought only
+//! 1.1–1.8x wall-time on flat arrays). This module is the storage-format
+//! fix, after
 //! the block layouts of the MonetDB/BAT lineage:
 //!
 //! * postings are split into fixed [`BLOCK_LEN`]-entry **blocks**; document
@@ -493,8 +494,8 @@ impl BlockPostingList {
     }
 
     /// Size of the packed payload plus headers, in bytes — the compression
-    /// figure experiment E17 reports against the flat layout's
-    /// 8 bytes/posting.
+    /// figure behind `moabench`'s `blocks.bytes_per_posting`, against the
+    /// flat layout's 8 bytes/posting.
     pub fn storage_bytes(&self) -> usize {
         self.payload.len() * 8 + self.headers.len() * std::mem::size_of::<BlockHeader>()
     }

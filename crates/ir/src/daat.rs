@@ -700,8 +700,9 @@ impl<'a> DaatSearcher<'a> {
 
     /// Evaluate a query document-at-a-time with the plain exhaustive
     /// cursor merge — every posting of every query term is consumed. The
-    /// unpruned baseline that experiments E14/E17 measure [`Self::search`]
-    /// against, and the element-at-a-time work reference of E13.
+    /// unpruned baseline `moabench` measures [`Self::search`] against
+    /// (`operator.exhaustive_daat_us_p50`), and the element-at-a-time work
+    /// reference of E13.
     /// Allocating wrapper over [`DaatSearcher::search_exhaustive_into`].
     pub fn search_exhaustive(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();

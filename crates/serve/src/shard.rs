@@ -480,21 +480,15 @@ pub(crate) fn gates(queries: &[BatchQuery], propagate: bool) -> Vec<BoundGate> {
 /// its `top` is then an exact prefix, not the full answer.
 pub fn merge_columns(
     queries: &[BatchQuery],
-    mut per_shard: Vec<ShardColumn>,
+    per_shard: Vec<ShardColumn>,
 ) -> Vec<ServeResult<QueryResponse>> {
+    let mut columns: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
     let mut responses = Vec::with_capacity(queries.len());
-    for (qi, q) in queries.iter().enumerate() {
-        let mut outcomes = Vec::with_capacity(per_shard.len());
+    for q in queries {
+        let mut outcomes = Vec::with_capacity(columns.len());
         let mut failure: Option<ServeError> = None;
-        for shard_results in &mut per_shard {
-            // Take ownership of this query's outcome from the shard's
-            // result column.
-            let outcome = std::mem::replace(
-                &mut shard_results[qi],
-                Err(ServeError::Engine(moa_core::CoreError::Type(
-                    "outcome already taken".into(),
-                ))),
-            );
+        for column in &mut columns {
+            let outcome = column.next().expect("every column answers every query");
             match outcome {
                 Ok(o) => outcomes.push(o),
                 Err(e) => {

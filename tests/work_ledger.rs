@@ -40,11 +40,12 @@ const PLANS: [PhysicalPlan; 4] = [
     PhysicalPlan::Fragmented(Strategy::FullScan),
 ];
 
-fn classes() -> [(&'static str, DfBias); 3] {
+fn classes() -> [(&'static str, DfBias); 4] {
     [
         ("frequent_only", DfBias::FrequentOnly),
         ("trec_like", DfBias::TrecLike { high_df_mix: 0.5 }),
         ("rare_only", DfBias::RareOnly),
+        ("topical", DfBias::Topical { high_df_mix: 0.5 }),
     ]
 }
 
