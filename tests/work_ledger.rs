@@ -5,10 +5,13 @@
 //! summed `postings_scanned`, `docs_skipped`, `seeks`, `bound_exits` and
 //! `candidates` of its 16 queries, how many of them came back partial,
 //! and an FNV-1a digest over `(doc, score bits)` of every answer. The
-//! paths are `EngineSet::execute` for four physical plans and the
+//! paths are `EngineSet::execute` for six physical plans and the
 //! in-thread sharded schedule (`ShardedEngine::execute_batch_sequential`,
 //! 2 range shards, planned, propagation on), so a change that moves any
 //! counter or answer of any of them fails here with the lines that moved.
+//! The two `frag_*_indexed` plans read a fragment through its sparse
+//! index, built at the serving block size, so their lines pin
+//! `SparseIndex` lookups.
 //!
 //! Pool batches are left out: which shard finishes first, and so how much
 //! the others prune, depends on timing. Allocation counts are pinned by
@@ -33,11 +36,13 @@ const GOLDEN: &str = include_str!("work_ledger.golden");
 /// The ranking depths: N = 1000 stays below the 2 000-document corpus.
 const DEPTHS: [usize; 3] = [1, 10, 1000];
 
-const PLANS: [PhysicalPlan; 4] = [
+const PLANS: [PhysicalPlan; 6] = [
     PhysicalPlan::PrunedDaat,
     PhysicalPlan::ExhaustiveDaat,
     PhysicalPlan::SetAtATime,
     PhysicalPlan::Fragmented(Strategy::FullScan),
+    PhysicalPlan::Fragmented(Strategy::Switch { use_b_index: true }),
+    PhysicalPlan::Fragmented(Strategy::AOnly { use_a_index: true }),
 ];
 
 fn classes() -> [(&'static str, DfBias); 4] {
@@ -107,10 +112,17 @@ impl Cell {
 fn ledger() -> String {
     let collection = Collection::generate(CollectionConfig::small()).expect("valid preset");
     let index = Arc::new(InvertedIndex::from_collection(&collection));
-    let frag = Arc::new(
-        FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.95))
-            .expect("non-empty collection"),
-    );
+    let mut frag = FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.95))
+        .expect("non-empty collection");
+    // The serving block size, so the `frag_*_indexed` lines pin the
+    // sparse index's lookups as the shards issue them.
+    frag.fragment_a_mut()
+        .build_sparse_index(1024)
+        .expect("positive block size");
+    frag.fragment_b_mut()
+        .build_sparse_index(1024)
+        .expect("positive block size");
+    let frag = Arc::new(frag);
     let mut out = String::new();
     for (class, bias) in classes() {
         let queries: Vec<Query> = generate_queries(
