@@ -5,9 +5,9 @@
 //! extra computations while still decreasing execution time."*
 //!
 //! The switch strategy is run twice: fragment B accessed by full scan (the
-//! BAT-selection baseline) and through a sparse block index on its sorted
-//! term column. Result quality must be identical; scanned volume and time
-//! must drop.
+//! set-at-a-time selection baseline) and through a sparse block index on
+//! its sorted term column. Result quality must be identical; scanned
+//! volume and time must drop.
 
 use moa_ir::{FragmentSpec, Strategy, SwitchPolicy};
 

@@ -33,8 +33,6 @@ pub enum CoreError {
     NoIrRuntime,
     /// Error from the IR engine.
     Ir(moa_ir::IrError),
-    /// Error from the storage kernel.
-    Storage(moa_storage::StorageError),
     /// Any other runtime error.
     Runtime(String),
 }
@@ -55,7 +53,6 @@ impl fmt::Display for CoreError {
                 write!(f, "MMRANK operators require an attached IR runtime")
             }
             CoreError::Ir(e) => write!(f, "IR error: {e}"),
-            CoreError::Storage(e) => write!(f, "storage error: {e}"),
             CoreError::Runtime(msg) => write!(f, "runtime error: {msg}"),
         }
     }
@@ -65,7 +62,6 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Ir(e) => Some(e),
-            CoreError::Storage(e) => Some(e),
             _ => None,
         }
     }
@@ -74,12 +70,6 @@ impl std::error::Error for CoreError {
 impl From<moa_ir::IrError> for CoreError {
     fn from(e: moa_ir::IrError) -> Self {
         CoreError::Ir(e)
-    }
-}
-
-impl From<moa_storage::StorageError> for CoreError {
-    fn from(e: moa_storage::StorageError) -> Self {
-        CoreError::Storage(e)
     }
 }
 
@@ -112,8 +102,6 @@ mod tests {
     fn conversions_chain_sources() {
         use std::error::Error;
         let e: CoreError = moa_ir::IrError::UnknownTerm(3).into();
-        assert!(e.source().is_some());
-        let e: CoreError = moa_storage::StorageError::Empty.into();
         assert!(e.source().is_some());
         assert!(CoreError::UnboundVar("x".into()).source().is_none());
     }

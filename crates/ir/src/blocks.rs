@@ -481,7 +481,7 @@ impl BlockPostingList {
     }
 
     /// Materialize one term's run as owned `(docs, tfs)` vectors — the
-    /// convenience path for builders, tests, and the BAT bridge.
+    /// convenience path for builders and tests.
     pub fn decode_term(&self, term: u32) -> (Vec<u32>, Vec<u32>) {
         let n = self.run_len(term);
         let mut docs = Vec::with_capacity(n);

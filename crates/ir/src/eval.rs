@@ -2,10 +2,10 @@
 //!
 //! [`Searcher`] is the *element-addressable* evaluation path: each query
 //! term's posting run is fetched directly (the "recoded" fast layout). The
-//! scan-based BAT evaluation the paper's fragmentation experiment measures
-//! lives in [`crate::fragment`]; both share the [`crate::scorer`] kernel
-//! (precomputed term constants + cached per-document norms) and this
-//! module's accumulate-then-top-N shape.
+//! scan-based table evaluation the paper's fragmentation experiment
+//! measures lives in [`crate::fragment`]; both share the
+//! [`crate::scorer`] kernel (precomputed term constants + cached
+//! per-document norms) and this module's accumulate-then-top-N shape.
 //!
 //! The sparse accumulator marks touched slots with a query *epoch* rather
 //! than a `score == 0.0` sentinel, so a legitimately-zero partial score

@@ -1,7 +1,8 @@
 //! Horizontal fragmentation of the term–document matrix (the paper's Step 1).
 //!
-//! In the flattened Moa/MonetDB execution model, the term–document matrix is
-//! a BAT of `(term, doc, tf)` triples and a query's posting retrieval is a
+//! In the paper's flattened Moa/MonetDB execution model, the term–document
+//! matrix is a table of `(term, doc, tf)` triples (here a [`TdTable`] of
+//! three parallel columns) and a query's posting retrieval is a
 //! *set-at-a-time selection over that table* — work proportional to the
 //! table's volume, not to the query's result. Fragmenting the table by
 //! document frequency therefore directly cuts query time:
@@ -18,7 +19,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use moa_storage::{Bat, Column, Scalar, SparseIndex};
+use moa_storage::SparseIndex;
 use moa_topn::TopNHeap;
 
 use crate::accum::EpochAccumulator;
@@ -42,15 +43,14 @@ pub enum FragmentSpec {
     DfThreshold(u32),
 }
 
-/// A flat `(term, doc, tf)` table sorted by term — the BAT realization of
-/// one fragment, with an optional non-dense index on the term column.
+/// A flat `(term, doc, tf)` table sorted by term — one fragment as three
+/// parallel columns, with an optional non-dense index read over the term
+/// column.
 #[derive(Debug, Clone)]
 pub struct TdTable {
     terms: Vec<u32>,
     docs: Vec<u32>,
     tfs: Vec<u32>,
-    /// Sorted term column as a BAT (for sparse-index lookups).
-    term_bat: Bat,
     sparse: Option<SparseIndex>,
 }
 
@@ -90,12 +90,10 @@ impl TdTable {
                 })
                 .expect("term id in range");
         }
-        let term_bat = Bat::dense(Column::from(terms.clone()));
         TdTable {
             terms,
             docs,
             tfs,
-            term_bat,
             sparse: None,
         }
     }
@@ -119,12 +117,12 @@ impl TdTable {
     /// Build the non-dense index on the sorted term column with the given
     /// block size.
     pub fn build_sparse_index(&mut self, block_size: usize) -> Result<()> {
-        self.sparse = Some(SparseIndex::build(&self.term_bat, block_size)?);
+        self.sparse = Some(SparseIndex::build(&self.terms, block_size)?);
         Ok(())
     }
 
     /// Retrieve the postings of `query_terms` by scanning the whole table
-    /// (the un-indexed BAT selection): cost = volume.
+    /// (the un-indexed selection): cost = volume.
     pub fn postings_scan(
         &self,
         query_terms: &HashSet<u32>,
@@ -165,9 +163,9 @@ impl TdTable {
         &self,
         query_terms: &HashSet<u32>,
         on_posting: impl FnMut(u32, u32, u32),
-    ) -> Result<ScanStats> {
+    ) -> ScanStats {
         self.postings_indexed_while(query_terms, on_posting, || true)
-            .map(|(stats, _)| stats)
+            .0
     }
 
     /// [`TdTable::postings_indexed`] with the same deadline hook as
@@ -179,22 +177,21 @@ impl TdTable {
         query_terms: &HashSet<u32>,
         mut on_posting: impl FnMut(u32, u32, u32),
         mut keep_going: impl FnMut() -> bool,
-    ) -> Result<(ScanStats, bool)> {
+    ) -> (ScanStats, bool) {
         let Some(sparse) = &self.sparse else {
-            return Ok(self.postings_scan_while(query_terms, on_posting, keep_going));
+            return self.postings_scan_while(query_terms, on_posting, keep_going);
         };
         let mut stats = ScanStats::default();
         let mut sorted_terms: Vec<u32> = query_terms.iter().copied().collect();
         sorted_terms.sort_unstable();
         for term in sorted_terms {
             if !keep_going() {
-                return Ok((stats, false));
+                return (stats, false);
             }
-            let range = sparse.lookup_range(&Scalar::U32(term), &Scalar::U32(term))?;
             stats.lookups += 1;
-            for (k, i) in (range.start..range.end).enumerate() {
+            for (k, i) in sparse.lookup_range(term, term).enumerate() {
                 if k > 0 && k % SCAN_POLL_STRIDE == 0 && !keep_going() {
-                    return Ok((stats, false));
+                    return (stats, false);
                 }
                 stats.scanned += 1;
                 if self.terms[i] == term {
@@ -203,7 +200,7 @@ impl TdTable {
                 }
             }
         }
-        Ok((stats, true))
+        (stats, true)
     }
 }
 
@@ -581,7 +578,7 @@ impl FragSearcher {
                         &qset,
                         |t, d, f| gather(&mut buckets, t, d, f),
                         live,
-                    )?
+                    )
                 } else {
                     frag.fragment_a().postings_scan_while(
                         &qset,
@@ -614,7 +611,7 @@ impl FragSearcher {
                             &qset,
                             |t, d2, f| gather(&mut buckets, t, d2, f),
                             live,
-                        )?
+                        )
                     } else {
                         frag.fragment_b().postings_scan_while(
                             &qset,
@@ -1131,9 +1128,7 @@ mod tests {
         let mut via_scan = Vec::new();
         let _ = table.postings_scan(&qset, |t, d, f| via_scan.push((t, d, f)));
         let mut via_index = Vec::new();
-        let _ = table
-            .postings_indexed(&qset, |t, d, f| via_index.push((t, d, f)))
-            .unwrap();
+        let _ = table.postings_indexed(&qset, |t, d, f| via_index.push((t, d, f)));
         via_scan.sort_unstable();
         via_index.sort_unstable();
         assert_eq!(via_scan, via_index);

@@ -13,7 +13,6 @@
 //! the fragmentation safety check consume them.
 
 use moa_corpus::Collection;
-use moa_storage::{Bat, Column};
 
 use crate::blocks::{BlockListBuilder, BlockPostingList, CursorBuf, CursorPos, TermView};
 use crate::error::{IrError, Result};
@@ -259,19 +258,6 @@ impl InvertedIndex {
         Ok(PostingCursor::new(self.blocks.view(term)))
     }
 
-    /// Materialize a term's postings as a `(doc → tf)` BAT — the
-    /// flattened-Moa view used by the algebra layer.
-    pub fn postings_bat(&self, term: u32) -> Result<Bat> {
-        let (docs, tfs) = self.decode_postings(term)?;
-        Ok(Bat::new(docs, Column::from(tfs)).expect("aligned decode halves have equal length"))
-    }
-
-    /// Per-term df table as a dense BAT (term oid → df), for the algebra
-    /// and cost layers.
-    pub fn df_bat(&self) -> Bat {
-        Bat::dense(Column::from(self.df.clone()))
-    }
-
     /// Build a document-partition *shard* of this index: only postings
     /// whose document passes `keep` are retained, while **every catalog
     /// statistic stays global** — `df`, `cf`, `max_tf`, the per-document
@@ -393,12 +379,6 @@ impl<'a> PostingCursor<'a> {
     #[inline]
     pub fn position(&self) -> usize {
         self.pos.base + self.pos.idx
-    }
-
-    /// Index of the current block within the run.
-    #[inline]
-    pub fn block_index(&self) -> usize {
-        self.pos.block
     }
 
     /// Whether every posting has been consumed.
@@ -525,16 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn postings_bat_roundtrip() {
-        let idx = index();
-        let term = idx.terms_by_df_asc().pop().unwrap(); // most frequent
-        let bat = idx.postings_bat(term).unwrap();
-        let (docs, tfs) = idx.decode_postings(term).unwrap();
-        assert_eq!(bat.head_oids(), docs);
-        assert_eq!(bat.tail().as_u32().unwrap(), tfs);
-    }
-
-    #[test]
     fn terms_by_df_ascending_order() {
         let idx = index();
         let terms = idx.terms_by_df_asc();
@@ -550,14 +520,6 @@ mod tests {
     fn doc_len_out_of_range_is_zero() {
         let idx = index();
         assert_eq!(idx.doc_len(u32::MAX), 0);
-    }
-
-    #[test]
-    fn df_bat_is_dense_over_vocab() {
-        let idx = index();
-        let bat = idx.df_bat();
-        assert_eq!(bat.len(), idx.vocab_size());
-        assert!(bat.props().head_dense);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! [`ServeSession`] stands a persistent [`ShardPool`] up over a sharded
 //! engine and wraps it with the ergonomics a serving deployment needs:
 //! single-query [`ServeSession::submit`], batched
-//! [`ServeSession::submit_many`] with per-query [`ExecReport`]
-//! aggregation and batch wall-time, the streaming pair
-//! [`ServeSession::enqueue`] / [`ServeSession::collect`] that overlaps
-//! merge and admission with shard service, running service counters, and
-//! an EXPLAIN ([`ServeSession::explain`]) that prices a query on every
-//! shard and renders the per-shard plan table without executing anything.
+//! [`ServeSession::submit_many`] with per-query
+//! [`ExecReport`](moa_ir::ExecReport) aggregation and batch wall-time,
+//! the streaming pair [`ServeSession::enqueue`] /
+//! [`ServeSession::collect`] that overlaps merge and admission with shard
+//! service, running service counters, and an EXPLAIN
+//! ([`ServeSession::explain`]) that prices a query on every shard and
+//! renders the per-shard plan table without executing anything.
 //!
 //! Shard workers are long-lived: batch submission costs two `mpsc` sends
 //! per shard, not a thread spawn/join (see [`crate::pool`]). A short solo
@@ -29,7 +30,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use moa_ir::{ExecReport, FragmentSpec, InvertedIndex, RankingModel, SwitchPolicy};
+use moa_ir::{FragmentSpec, InvertedIndex, RankingModel, SwitchPolicy};
 use moa_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 
 use crate::admission::AdmissionPolicy;
@@ -145,12 +146,6 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// The successful responses, in submission order (failed positions
-    /// skipped).
-    pub fn ok_responses(&self) -> impl Iterator<Item = &QueryResponse> {
-        self.responses.iter().filter_map(|r| r.as_ref().ok())
-    }
-
     /// Every response, asserting that no position failed — the
     /// convenience for callers (tests, benchmarks) that submit known-good
     /// batches with no faults in play.
@@ -170,15 +165,6 @@ impl BatchReport {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().err().map(|e| (i, e)))
-    }
-
-    /// Work counters absorbed over every successful query of the batch.
-    pub fn total_work(&self) -> ExecReport {
-        let mut total = ExecReport::default();
-        for r in self.ok_responses() {
-            total.absorb(&r.work);
-        }
-        total
     }
 }
 
@@ -462,8 +448,8 @@ impl ServeSession {
 
     /// Answer a batch: every shard worker runs its column of the batch
     /// concurrently, results come back in submission order with
-    /// per-query aggregated [`ExecReport`]s and the batch's wall-clock
-    /// time. Equivalent to [`ServeSession::enqueue`] followed immediately
+    /// per-query aggregated [`ExecReport`](moa_ir::ExecReport)s and the
+    /// batch's wall-clock time. Equivalent to [`ServeSession::enqueue`] followed immediately
     /// by [`ServeSession::collect`]. The outer error is admission only
     /// ([`ServeError::Shed`]: nothing executed, retry the batch verbatim);
     /// in-flight failures surface per position inside the report.

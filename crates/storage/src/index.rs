@@ -1,62 +1,41 @@
 //! Non-dense (sparse) indexes.
 //!
 //! The paper's Step 1 proposes "a non-dense index in the system to speed up
-//! processing the large fragment". A [`SparseIndex`] stores one `(value,
-//! position)` anchor per fixed-size block of a tail-sorted BAT; a range
-//! lookup binary-searches the anchors and then scans at most the covering
-//! blocks instead of the whole BAT. Blocks touched are reported so
-//! experiments can show I/O-proportional work, not just wall time.
+//! processing the large fragment". A [`SparseIndex`] stores the first value
+//! of each fixed-size block of a sorted `u32` column; a range lookup
+//! binary-searches those anchors and returns the positions of the covering
+//! blocks, so the caller scans those instead of the whole column.
 
-use crate::bat::Bat;
-use crate::column::Scalar;
+use std::ops::Range;
+
 use crate::error::{Result, StorageError};
 
-/// A sparse index over a tail-sorted BAT: one anchor per `block_size` BUNs.
+/// A sparse index over a sorted `u32` column: one anchor per `block_size`
+/// values.
 #[derive(Debug, Clone)]
 pub struct SparseIndex {
-    /// First tail value of each block.
-    anchors: Vec<Scalar>,
-    /// Start position of each block.
-    starts: Vec<usize>,
+    /// First value of each block; block `i` starts at `i * block_size`.
+    anchors: Vec<u32>,
     block_size: usize,
     len: usize,
 }
 
-/// Result of a sparse-index range lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexRange {
-    /// First position that may contain a matching value.
-    pub start: usize,
-    /// One past the last position that may contain a matching value.
-    pub end: usize,
-    /// Number of index blocks covered by `[start, end)`.
-    pub blocks_touched: usize,
-}
-
 impl SparseIndex {
-    /// Build a sparse index with the given block size over a tail-sorted BAT.
-    pub fn build(bat: &Bat, block_size: usize) -> Result<SparseIndex> {
+    /// Build a sparse index with the given block size over an ascending
+    /// column.
+    pub fn build(column: &[u32], block_size: usize) -> Result<SparseIndex> {
         if block_size == 0 {
             return Err(StorageError::InvalidArgument(
                 "block_size must be positive".into(),
             ));
         }
-        if !bat.props().tail_sorted_asc {
+        if column.windows(2).any(|w| w[0] > w[1]) {
             return Err(StorageError::NotSorted);
         }
-        let mut anchors = Vec::new();
-        let mut starts = Vec::new();
-        let mut pos = 0;
-        while pos < bat.len() {
-            anchors.push(bat.tail_value(pos)?);
-            starts.push(pos);
-            pos += block_size;
-        }
         Ok(SparseIndex {
-            anchors,
-            starts,
+            anchors: column.iter().copied().step_by(block_size).collect(),
             block_size,
-            len: bat.len(),
+            len: column.len(),
         })
     }
 
@@ -65,89 +44,21 @@ impl SparseIndex {
         self.anchors.len()
     }
 
-    /// Index payload size in bytes (anchors + positions), for the volume
-    /// accounting in the fragmentation experiments.
-    pub fn byte_size(&self) -> usize {
-        self.anchors
-            .iter()
-            .map(|a| match a {
-                Scalar::Str(s) => s.len() + std::mem::size_of::<String>(),
-                _ => 8,
-            })
-            .sum::<usize>()
-            + self.starts.len() * std::mem::size_of::<usize>()
-    }
-
     /// Conservative position range whose values may lie in `[lo, hi]`.
     ///
-    /// The returned range starts at the last block whose anchor is `<= lo`
-    /// and ends at the first block whose anchor is `> hi` — so a subsequent
-    /// scan touches only the covering blocks.
-    pub fn lookup_range(&self, lo: &Scalar, hi: &Scalar) -> Result<IndexRange> {
-        if self.anchors.is_empty() {
-            return Ok(IndexRange {
-                start: 0,
-                end: 0,
-                blocks_touched: 0,
-            });
-        }
-        // Validate types once against the first anchor.
-        self.anchors[0].total_cmp(lo)?;
-        self.anchors[0].total_cmp(hi)?;
-
-        // First block that could contain `lo`: one before the first anchor
-        // >= lo. (Strictly-less predicate: runs of duplicate anchors equal
-        // to `lo` may all contain matching values, so we must not skip
-        // past them.)
-        let first_ge_lo = partition(&self.anchors, |a| {
-            a.total_cmp(lo)
-                .map(|o| o == std::cmp::Ordering::Less)
-                .unwrap_or(true)
-        });
-        let start_block = first_ge_lo.saturating_sub(1);
-        // First block whose anchor exceeds hi ends the range.
-        let first_gt_hi = partition(&self.anchors, |a| {
-            a.total_cmp(hi)
-                .map(|o| o != std::cmp::Ordering::Greater)
-                .unwrap_or(true)
-        });
-        let end_block = first_gt_hi; // exclusive
+    /// The range starts at the last block whose anchor is `< lo` (runs of
+    /// anchors equal to `lo` may all hold matches, so none is skipped) and
+    /// ends at the first block whose anchor is `> hi` — so a subsequent
+    /// scan touches only the covering blocks. It is empty when no block
+    /// can hold a match.
+    pub fn lookup_range(&self, lo: u32, hi: u32) -> Range<usize> {
+        let start_block = self.anchors.partition_point(|&a| a < lo).saturating_sub(1);
+        let end_block = self.anchors.partition_point(|&a| a <= hi);
+        let start = start_block * self.block_size;
         if end_block <= start_block {
-            // Range is empty but may still need one block probe.
-            let start = self.starts[start_block];
-            return Ok(IndexRange {
-                start,
-                end: start,
-                blocks_touched: 0,
-            });
+            return start..start;
         }
-        let start = self.starts[start_block];
-        let end = if end_block < self.starts.len() {
-            self.starts[end_block]
-        } else {
-            self.len
-        };
-        Ok(IndexRange {
-            start,
-            end,
-            blocks_touched: end_block - start_block,
-        })
-    }
-
-    /// Scan the indexed BAT for `[lo, hi]`, touching only covering blocks.
-    /// Returns the matching BUNs and the lookup profile. `bat` must be the
-    /// BAT the index was built over.
-    pub fn select_range(&self, bat: &Bat, lo: &Scalar, hi: &Scalar) -> Result<(Bat, IndexRange)> {
-        if bat.len() != self.len {
-            return Err(StorageError::LengthMismatch {
-                left: bat.len(),
-                right: self.len,
-            });
-        }
-        let range = self.lookup_range(lo, hi)?;
-        let window = bat.slice(range.start, range.end)?;
-        let (hits, _) = crate::ops::select::scan_select(&window, lo, hi)?;
-        Ok((hits, range))
+        start..(end_block * self.block_size).min(self.len)
     }
 
     /// The configured block size.
@@ -156,116 +67,57 @@ impl SparseIndex {
     }
 }
 
-fn partition(anchors: &[Scalar], pred: impl Fn(&Scalar) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, anchors.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(&anchors[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
-    use crate::ops::select::select_range;
 
-    fn sorted_bat(n: u32) -> Bat {
-        Bat::dense(Column::from((0..n).map(|i| i * 2).collect::<Vec<u32>>()))
+    fn even_column(n: u32) -> Vec<u32> {
+        (0..n).map(|i| i * 2).collect()
     }
 
     #[test]
     fn build_requires_sorted() {
-        let b = Bat::dense(Column::from(vec![3u32, 1]));
         assert!(matches!(
-            SparseIndex::build(&b, 4),
+            SparseIndex::build(&[3, 1], 4),
             Err(StorageError::NotSorted)
         ));
     }
 
     #[test]
     fn build_rejects_zero_block() {
-        let b = sorted_bat(10);
-        assert!(SparseIndex::build(&b, 0).is_err());
+        assert!(SparseIndex::build(&even_column(10), 0).is_err());
     }
 
     #[test]
     fn block_count() {
-        let b = sorted_bat(10);
-        let idx = SparseIndex::build(&b, 4).unwrap();
+        let idx = SparseIndex::build(&even_column(10), 4).unwrap();
         assert_eq!(idx.blocks(), 3); // 4 + 4 + 2
     }
 
     #[test]
-    fn lookup_agrees_with_full_select() {
-        let b = sorted_bat(100); // values 0,2,..,198
-        let idx = SparseIndex::build(&b, 8).unwrap();
-        for (lo, hi) in [(0u32, 10u32), (13, 57), (150, 300), (201, 250), (0, 198)] {
-            let (hits, _) = idx
-                .select_range(&b, &Scalar::U32(lo), &Scalar::U32(hi))
-                .unwrap();
-            let expect = select_range(&b, &Scalar::U32(lo), &Scalar::U32(hi)).unwrap();
-            assert_eq!(hits.head_oids(), expect.head_oids(), "range {lo}..={hi}");
-        }
-    }
-
-    #[test]
     fn lookup_touches_few_blocks() {
-        let b = sorted_bat(1000);
-        let idx = SparseIndex::build(&b, 10).unwrap();
-        let range = idx
-            .lookup_range(&Scalar::U32(500), &Scalar::U32(510))
-            .unwrap();
-        assert!(
-            range.blocks_touched <= 3,
-            "touched {}",
-            range.blocks_touched
-        );
-        assert!(range.end - range.start <= 30);
+        let idx = SparseIndex::build(&even_column(1000), 10).unwrap();
+        let range = idx.lookup_range(500, 510);
+        assert!(range.len() <= 30, "covers {range:?}");
     }
 
     #[test]
-    fn empty_bat_lookup() {
-        let b = Bat::dense(Column::from(Vec::<u32>::new()));
-        let idx = SparseIndex::build(&b, 4).unwrap();
-        let r = idx.lookup_range(&Scalar::U32(1), &Scalar::U32(2)).unwrap();
-        assert_eq!(r.blocks_touched, 0);
-        assert_eq!((r.start, r.end), (0, 0));
-    }
-
-    #[test]
-    fn mismatched_bat_is_rejected() {
-        let b = sorted_bat(10);
-        let idx = SparseIndex::build(&b, 4).unwrap();
-        let other = sorted_bat(5);
-        assert!(idx
-            .select_range(&other, &Scalar::U32(0), &Scalar::U32(4))
-            .is_err());
+    fn empty_column_lookup() {
+        let idx = SparseIndex::build(&[], 4).unwrap();
+        assert_eq!(idx.blocks(), 0);
+        assert_eq!(idx.lookup_range(1, 2), 0..0);
     }
 
     #[test]
     fn range_below_and_above_all_values() {
-        let b = Bat::dense(Column::from(vec![10u32, 20, 30, 40]));
-        let idx = SparseIndex::build(&b, 2).unwrap();
-        let (hits, _) = idx
-            .select_range(&b, &Scalar::U32(0), &Scalar::U32(5))
-            .unwrap();
-        assert!(hits.is_empty());
-        let (hits, _) = idx
-            .select_range(&b, &Scalar::U32(41), &Scalar::U32(99))
-            .unwrap();
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn byte_size_is_small_relative_to_bat() {
-        let b = sorted_bat(10_000);
-        let idx = SparseIndex::build(&b, 64).unwrap();
-        assert!(idx.byte_size() < b.byte_size() / 2);
+        let column = [10, 20, 30, 40];
+        let idx = SparseIndex::build(&column, 2).unwrap();
+        for (lo, hi) in [(0, 5), (41, 99)] {
+            let range = idx.lookup_range(lo, hi);
+            assert!(
+                column[range.clone()].iter().all(|v| !(lo..=hi).contains(v)),
+                "{lo}..={hi} covers {range:?}"
+            );
+        }
     }
 }

@@ -1,24 +1,14 @@
-//! # moa-storage — a main-memory Binary Association Table kernel
+//! # moa-storage — main-memory kernels under the Moa top-N reproduction
 //!
-//! This crate is the bottom layer of the Moa top-N reproduction: a
-//! MonetDB-style main-memory column kernel. The structured object algebra in
-//! `moa-core` *flattens* its expressions onto operations over [`bat::Bat`]s
-//! (binary tables of `(oid, value)` pairs), exactly as Moa flattened onto
-//! MonetDB's MIL [Boncz, Wilschut & Kersten, ICDE 1998].
+//! This crate is the bottom layer of the reproduction. It holds the three
+//! kernels the upper layers call:
 //!
-//! Provided kernels:
-//!
-//! * [`ops::select`] — range/point selection, with a binary-search fast path
-//!   on sorted tails (the physical payoff of ordering knowledge),
-//! * [`ops::join`] — fetch join (positional), hash join, semijoin, antijoin,
-//! * [`ops::sort`] — stable sort, argsort, and bounded `firstn` (sort-stop),
-//! * [`ops::group`] — grouped aggregation (dense and hash-based),
-//! * [`ops::arith`] — multiplexed element-wise arithmetic,
-//! * [`index`] — non-dense (sparse) block indexes over sorted BATs,
 //! * [`pack`] — fixed-width bit-packing kernels (the physical substrate of
 //!   the block-compressed posting storage in `moa-ir`),
-//! * [`stats`] — numeric summaries and equi-width/equi-depth histograms,
-//! * [`catalog`] — a thread-safe named BAT registry.
+//! * [`index`] — the non-dense (sparse) block index the paper's Step 1
+//!   proposes, read over a fragment's sorted term column,
+//! * [`stats`] — the equi-width histogram behind the probabilistic top-N
+//!   cutoff and the optimizer's learned cost model.
 //!
 //! Everything is deterministic and allocation-conscious; no I/O — "MM" here
 //! follows the paper's substrate, a *main-memory* kernel hosting
@@ -26,18 +16,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bat;
-pub mod catalog;
-pub mod column;
 pub mod error;
 pub mod index;
-pub mod ops;
 pub mod pack;
 pub mod stats;
 
-pub use bat::{Bat, Head, Props};
-pub use catalog::Catalog;
-pub use column::{Column, ColumnType, Scalar};
 pub use error::{Result, StorageError};
-pub use index::{IndexRange, SparseIndex};
-pub use stats::{EquiDepthHistogram, EquiWidthHistogram, NumericStats};
+pub use index::SparseIndex;
+pub use stats::EquiWidthHistogram;

@@ -1,4 +1,4 @@
-//! Column statistics: summaries and histograms.
+//! Column statistics: the equi-width histogram.
 //!
 //! Statistics serve two masters in this reproduction:
 //!
@@ -9,46 +9,6 @@
 //!    requested confidence.
 
 use crate::error::{Result, StorageError};
-
-/// Simple numeric summary of a value set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NumericStats {
-    /// Number of values.
-    pub count: usize,
-    /// Minimum (NaN-free inputs assumed; NaNs are filtered out).
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl NumericStats {
-    /// Compute summary statistics; NaNs are ignored. Errors when no finite
-    /// values remain.
-    pub fn build(values: &[f64]) -> Result<NumericStats> {
-        let mut count = 0usize;
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-        for &v in values {
-            if v.is_nan() {
-                continue;
-            }
-            count += 1;
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-        }
-        if count == 0 {
-            return Err(StorageError::Empty);
-        }
-        Ok(NumericStats {
-            count,
-            min,
-            max,
-            mean: sum / count as f64,
-        })
-    }
-}
 
 /// Equi-width histogram over `[min, max]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,21 +27,23 @@ impl EquiWidthHistogram {
                 "bucket count must be positive".into(),
             ));
         }
-        let stats = NumericStats::build(values)?;
+        let mut present = values.iter().copied().filter(|v| !v.is_nan());
+        let first = present.next().ok_or(StorageError::Empty)?;
+        let (min, max) = present.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)));
         let mut counts = vec![0u64; buckets];
-        let width = (stats.max - stats.min).max(f64::MIN_POSITIVE);
+        let width = (max - min).max(f64::MIN_POSITIVE);
         let mut total = 0u64;
         for &v in values {
             if v.is_nan() {
                 continue;
             }
-            let b = (((v - stats.min) / width) * buckets as f64) as usize;
+            let b = (((v - min) / width) * buckets as f64) as usize;
             counts[b.min(buckets - 1)] += 1;
             total += 1;
         }
         Ok(EquiWidthHistogram {
-            min: stats.min,
-            max: stats.max,
+            min,
+            max,
             counts,
             total,
         })
@@ -160,108 +122,19 @@ impl EquiWidthHistogram {
     }
 }
 
-/// Equi-depth histogram: bucket boundaries at value quantiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiDepthHistogram {
-    /// `boundaries[i]` is the upper edge of bucket `i`; ascending.
-    boundaries: Vec<f64>,
-    /// Values per bucket (equal by construction up to rounding).
-    depth: f64,
-    total: usize,
-    min: f64,
-}
-
-impl EquiDepthHistogram {
-    /// Build with `buckets` equal-depth buckets; sorts a copy of the input.
-    pub fn build(values: &[f64], buckets: usize) -> Result<EquiDepthHistogram> {
-        if buckets == 0 {
-            return Err(StorageError::InvalidArgument(
-                "bucket count must be positive".into(),
-            ));
-        }
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        if sorted.is_empty() {
-            return Err(StorageError::Empty);
-        }
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let mut boundaries = Vec::with_capacity(buckets);
-        for b in 1..=buckets {
-            let idx = ((b * n) / buckets).saturating_sub(1).min(n - 1);
-            boundaries.push(sorted[idx]);
-        }
-        Ok(EquiDepthHistogram {
-            boundaries,
-            depth: n as f64 / buckets as f64,
-            total: n,
-            min: sorted[0],
-        })
-    }
-
-    /// Total number of values.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Estimate how many values are `>= x` by locating the containing bucket.
-    pub fn estimate_count_ge(&self, x: f64) -> f64 {
-        if x <= self.min {
-            return self.total as f64;
-        }
-        let nb = self.boundaries.len();
-        // Buckets strictly below x contribute nothing.
-        let mut below = 0usize;
-        while below < nb && self.boundaries[below] < x {
-            below += 1;
-        }
-        if below >= nb {
-            return 0.0;
-        }
-        // Interpolate inside bucket `below`.
-        let lo_edge = if below == 0 {
-            self.min
-        } else {
-            self.boundaries[below - 1]
-        };
-        let hi_edge = self.boundaries[below];
-        let frac_above = if hi_edge > lo_edge {
-            ((hi_edge - x) / (hi_edge - lo_edge)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        self.depth * frac_above + self.depth * (nb - below - 1) as f64
-    }
-
-    /// Quantile of the distribution at fraction `q` in `[0,1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        if self.boundaries.is_empty() {
-            return self.min;
-        }
-        let idx = ((q * self.boundaries.len() as f64).ceil() as usize).saturating_sub(1);
-        self.boundaries[idx.min(self.boundaries.len() - 1)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn numeric_stats_basic() {
-        let s = NumericStats::build(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.5);
-    }
-
-    #[test]
-    fn numeric_stats_skip_nan_and_reject_empty() {
-        let s = NumericStats::build(&[f64::NAN, 2.0]).unwrap();
-        assert_eq!(s.count, 1);
-        assert!(NumericStats::build(&[]).is_err());
-        assert!(NumericStats::build(&[f64::NAN]).is_err());
+    fn equi_width_skips_nan_and_rejects_all_nan() {
+        let h = EquiWidthHistogram::build(&[f64::NAN, 2.0, 4.0], 2).unwrap();
+        assert_eq!(h.total(), 2);
+        assert_eq!(h.estimate_count_ge(3.0), 1.0);
+        assert_eq!(
+            EquiWidthHistogram::build(&[f64::NAN, f64::NAN], 4),
+            Err(StorageError::Empty)
+        );
     }
 
     #[test]
@@ -314,30 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn equi_depth_quantiles() {
-        let values: Vec<f64> = (1..=100).map(f64::from).collect();
-        let h = EquiDepthHistogram::build(&values, 10).unwrap();
-        assert_eq!(h.total(), 100);
-        assert!((h.quantile(0.5) - 50.0).abs() <= 10.0);
-        assert!((h.quantile(1.0) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn equi_depth_count_ge() {
-        let values: Vec<f64> = (0..1000).map(f64::from).collect();
-        let h = EquiDepthHistogram::build(&values, 20).unwrap();
-        let est = h.estimate_count_ge(900.0);
-        assert!((est - 100.0).abs() <= 50.0, "est={est}");
-        assert_eq!(h.estimate_count_ge(-1.0), 1000.0);
-        assert_eq!(h.estimate_count_ge(1001.0), 0.0);
-    }
-
-    #[test]
     fn histograms_reject_zero_buckets_and_empty() {
         assert!(EquiWidthHistogram::build(&[1.0], 0).is_err());
-        assert!(EquiDepthHistogram::build(&[1.0], 0).is_err());
         assert!(EquiWidthHistogram::build(&[], 4).is_err());
-        assert!(EquiDepthHistogram::build(&[], 4).is_err());
     }
 
     #[test]
@@ -346,7 +198,5 @@ mod tests {
         let h = EquiWidthHistogram::build(&values, 8).unwrap();
         assert_eq!(h.estimate_count_ge(5.0), 64.0);
         assert_eq!(h.estimate_count_ge(5.1), 0.0);
-        let d = EquiDepthHistogram::build(&values, 8).unwrap();
-        assert_eq!(d.quantile(0.5), 5.0);
     }
 }

@@ -11,16 +11,16 @@
 //!   element-at-a-time comparator,
 //! * [`moa_topn`] (as `topn`) — bounded-heap top-N, Fagin's FA, TA, NRA,
 //!   Carey–Kossmann STOP AFTER, and probabilistic cutoff top-N,
-//! * [`moa_storage`] (as `storage`) — the main-memory BAT kernel with non-dense
-//!   indexes and histograms,
+//! * [`moa_storage`] (as `storage`) — the main-memory kernels: bit-packing,
+//!   the non-dense index over a sorted column, and equi-width histograms,
 //! * [`moa_corpus`] (as `corpus`) — seeded synthetic workloads (Zipf collections,
 //!   topical queries and qrels, correlated feature lists),
 //! * [`moa_serve`] (as `serve`) — the sharded parallel serving layer:
 //!   per-shard planned execution over document partitions, cross-shard
 //!   score-threshold propagation, and the batched query service.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the paper-to-module mapping,
-//! and `EXPERIMENTS.md` for the measured reproduction of every claim.
+//! See `README.md` for a tour and `DESIGN.md` for the paper-to-module
+//! mapping; the `experiments` binary of `moa-bench` reproduces every claim.
 //!
 //! ```
 //! use moa::core::{parse_expr, Env, Session};
