@@ -2,15 +2,15 @@
 //!
 //! A [`Bat`] is the MonetDB-style storage primitive: a sequence of BUNs
 //! (binary units), each a pair of a head object id (`u32`) and a typed tail
-//! value. Moa flattens its structured algebra onto collections of BATs, so
-//! every physical operator in this workspace ultimately manipulates these.
+//! value. It is the data model of a MonetDB-style column kernel; no query
+//! path in this workspace builds one, and the kernel operations that once
+//! ran over BATs are gone.
 //!
 //! The head is either *void* (a dense, ascending oid sequence starting at a
 //! base — stored implicitly, occupying no memory) or *materialized* (an
 //! explicit oid vector). Properties such as tail sortedness are computed at
-//! construction and kept on the BAT so operators can pick cheaper
-//! implementations (e.g. binary-search selection on sorted tails); this is
-//! exactly the ordering knowledge the paper's inter-object optimizer exploits.
+//! construction and kept on the BAT, so [`Bat::sorted_range`] can binary
+//! search a sorted tail.
 
 use crate::column::{Column, ColumnType, Scalar};
 use crate::error::{Result, StorageError};

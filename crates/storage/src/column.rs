@@ -1,9 +1,8 @@
 //! Typed column vectors: the tail storage of a BAT.
 //!
 //! A [`Column`] is a densely packed, homogeneously typed vector. Columns are
-//! deliberately simple — the kernel operations in [`crate::ops`] are written
-//! against columns and BATs, mirroring how MonetDB's MIL kernel operates on
-//! binary tables.
+//! deliberately simple: typed accessors, positional gather and slice, and
+//! sortedness checks.
 
 use std::fmt;
 

@@ -95,6 +95,21 @@ mod tests {
     }
 
     #[test]
+    fn lookup_agrees_with_full_select() {
+        let column = even_column(100); // values 0,2,..,198
+        let idx = SparseIndex::build(&column, 8).unwrap();
+        for (lo, hi) in [(0u32, 10u32), (13, 57), (150, 300), (201, 250), (0, 198)] {
+            let hits = |positions: std::ops::Range<usize>| -> Vec<usize> {
+                positions
+                    .filter(|&i| (lo..=hi).contains(&column[i]))
+                    .collect()
+            };
+            let range = idx.lookup_range(lo, hi);
+            assert_eq!(hits(range), hits(0..column.len()), "range {lo}..={hi}");
+        }
+    }
+
+    #[test]
     fn lookup_touches_few_blocks() {
         let idx = SparseIndex::build(&even_column(1000), 10).unwrap();
         let range = idx.lookup_range(500, 510);
@@ -102,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_column_lookup() {
+    fn empty_bat_lookup() {
         let idx = SparseIndex::build(&[], 4).unwrap();
         assert_eq!(idx.blocks(), 0);
         assert_eq!(idx.lookup_range(1, 2), 0..0);

@@ -10,7 +10,7 @@ proptest! {
     // A narrow value domain, so runs of equal values often straddle
     // block boundaries: the case where a lookup could start too late.
     #[test]
-    fn sparse_index_range_holds_every_match(
+    fn sparse_index_agrees_with_select(
         mut values in proptest::collection::vec(0u32..100, 0..300),
         block in 1usize..64,
         lo in 0u32..110, span in 0u32..30,
