@@ -28,9 +28,8 @@ fn fixture() -> Fixture {
         FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.95))
             .expect("non-empty");
     frag_indexed
-        .fragment_b_mut()
-        .build_sparse_index(1024)
-        .expect("sorted");
+        .set_sparse_block_b(1024)
+        .expect("positive block size");
     let queries = generate_queries(&collection, &QueryConfig::default()).expect("workload");
     Fixture {
         frag_plain,

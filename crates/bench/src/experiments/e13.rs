@@ -51,9 +51,8 @@ pub fn run(scale: Scale) -> Table {
     )
     .expect("non-empty");
     frag_indexed
-        .fragment_b_mut()
-        .build_sparse_index(1024)
-        .expect("sorted");
+        .set_sparse_block_b(1024)
+        .expect("positive block size");
     let frag_indexed = std::sync::Arc::new(frag_indexed);
     let switch_idx = f.run_strategy(
         &frag_indexed,

@@ -28,9 +28,8 @@ pub fn run(scale: Scale) -> Table {
     let mut frag_indexed = moa_ir::FragmentedIndex::build(std::sync::Arc::clone(&f.index), spec)
         .expect("non-empty index");
     frag_indexed
-        .fragment_b_mut()
-        .build_sparse_index(1024)
-        .expect("sorted term column");
+        .set_sparse_block_b(1024)
+        .expect("positive block size");
     let frag_indexed = std::sync::Arc::new(frag_indexed);
     let indexed = f.run_strategy(
         &frag_indexed,

@@ -123,16 +123,14 @@ impl IrCostInfo {
     /// the session's algebra estimator and the physical planner, so the
     /// two can never disagree about the catalog snapshot.
     pub fn from_catalog(frag: &moa_ir::FragmentedIndex, postings_per_query: f64) -> IrCostInfo {
-        let a = frag.fragment_a();
-        let b = frag.fragment_b();
         IrCostInfo {
             num_docs: frag.index().num_docs() as f64,
             postings_per_query,
-            volume_a: a.volume() as f64,
-            volume_b: b.volume() as f64,
-            a_indexed: a.has_sparse_index(),
-            b_indexed: b.has_sparse_index(),
-            index_block: a.sparse_block_size().or(b.sparse_block_size()).unwrap_or(0) as f64,
+            volume_a: frag.volume_a() as f64,
+            volume_b: frag.volume_b() as f64,
+            a_indexed: frag.sparse_block_a().is_some(),
+            b_indexed: frag.sparse_block_b().is_some(),
+            index_block: frag.sparse_block_a().or(frag.sparse_block_b()).unwrap_or(0) as f64,
         }
     }
 }

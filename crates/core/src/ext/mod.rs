@@ -154,8 +154,8 @@ impl IrRuntime {
     /// fragment volumes plus a postings-per-query prior matched to the
     /// runtime's mode.
     pub fn cost_info(&self) -> IrCostInfo {
-        let a = self.frag.fragment_a().volume() as f64;
-        let b = self.frag.fragment_b().volume() as f64;
+        let a = self.frag.volume_a() as f64;
+        let b = self.frag.volume_b() as f64;
         let prior = match self.fixed_plan() {
             Some(PhysicalPlan::Fragmented(Strategy::FullScan)) => a + b,
             Some(PhysicalPlan::Fragmented(Strategy::AOnly { .. })) => a,

@@ -586,8 +586,8 @@ mod tests {
         let idx = Arc::new(InvertedIndex::from_collection(&c));
         let mut frag = FragmentedIndex::build(idx, FragmentSpec::TermFraction(0.9)).unwrap();
         if index_fragments {
-            frag.fragment_a_mut().build_sparse_index(64).unwrap();
-            frag.fragment_b_mut().build_sparse_index(64).unwrap();
+            frag.set_sparse_block_a(64).unwrap();
+            frag.set_sparse_block_b(64).unwrap();
         }
         (c, Arc::new(frag))
     }

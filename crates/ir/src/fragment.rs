@@ -15,6 +15,15 @@
 //!   *switches in* fragment B when needed — either by scanning B or through
 //!   a **non-dense index** ([`moa_storage::SparseIndex`]) over B's sorted
 //!   term column, the acceleration the paper proposes.
+//!
+//! [`FragmentedIndex::build`] reads only the catalog: the fragment
+//! boundary, and each fragment's volume as the sum of its terms' resident
+//! run lengths. A fragment's table, with the non-dense index declared for
+//! it, is built on the first fragmented evaluation that reads it, so a
+//! serving shard whose planner never picks a fragmented plan carries no
+//! table. That one-time build is not deadline-polled: the query that
+//! triggers it pays for it in full. Scan counts are unaffected, because a
+//! lazily built table is the same table the eager build produced.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -73,8 +82,14 @@ pub struct ScanStats {
 pub const SCAN_POLL_STRIDE: usize = 1024;
 
 impl TdTable {
-    /// Build a fragment table holding the postings of the selected terms.
-    pub fn from_index(index: &InvertedIndex, keep: impl Fn(u32) -> bool) -> TdTable {
+    /// Build a fragment table holding the postings of the selected terms,
+    /// with a non-dense index over its sorted term column when
+    /// `sparse_block` names a block size.
+    pub fn from_index(
+        index: &InvertedIndex,
+        keep: impl Fn(u32) -> bool,
+        sparse_block: Option<usize>,
+    ) -> Result<TdTable> {
         let mut terms = Vec::new();
         let mut docs = Vec::new();
         let mut tfs = Vec::new();
@@ -82,20 +97,21 @@ impl TdTable {
             if !keep(term) {
                 continue;
             }
-            index
-                .for_each_posting(term, |doc, tf| {
-                    terms.push(term);
-                    docs.push(doc);
-                    tfs.push(tf);
-                })
-                .expect("term id in range");
+            index.for_each_posting(term, |doc, tf| {
+                terms.push(term);
+                docs.push(doc);
+                tfs.push(tf);
+            })?;
         }
-        TdTable {
+        let sparse = sparse_block
+            .map(|block| SparseIndex::build(&terms, block))
+            .transpose()?;
+        Ok(TdTable {
             terms,
             docs,
             tfs,
-            sparse: None,
-        }
+            sparse,
+        })
     }
 
     /// Number of `(term, doc, tf)` entries (the fragment's volume).
@@ -103,22 +119,9 @@ impl TdTable {
         self.terms.len()
     }
 
-    /// Whether a sparse (non-dense) index has been built.
-    pub fn has_sparse_index(&self) -> bool {
-        self.sparse.is_some()
-    }
-
-    /// The sparse index's block size (lookup granularity), when built —
-    /// the cost model's slack term for indexed access.
+    /// The sparse index's block size (lookup granularity), when built.
     pub fn sparse_block_size(&self) -> Option<usize> {
         self.sparse.as_ref().map(SparseIndex::block_size)
-    }
-
-    /// Build the non-dense index on the sorted term column with the given
-    /// block size.
-    pub fn build_sparse_index(&mut self, block_size: usize) -> Result<()> {
-        self.sparse = Some(SparseIndex::build(&self.terms, block_size)?);
-        Ok(())
     }
 
     /// Retrieve the postings of `query_terms` by scanning the whole table
@@ -205,6 +208,11 @@ impl TdTable {
 }
 
 /// The fragmented term–document matrix plus shared collection statistics.
+///
+/// The fragment boundary and both volumes come from the catalog at
+/// [`FragmentedIndex::build`]; each fragment's [`TdTable`] (and its
+/// declared non-dense index) is built on the first call to
+/// [`FragmentedIndex::fragment_a`] or [`FragmentedIndex::fragment_b`].
 #[derive(Debug, Clone)]
 pub struct FragmentedIndex {
     index: Arc<InvertedIndex>,
@@ -212,12 +220,18 @@ pub struct FragmentedIndex {
     in_a: Vec<bool>,
     /// Largest df found in fragment A (boundary documentation).
     df_boundary: u32,
-    a: TdTable,
-    b: TdTable,
+    volume_a: usize,
+    volume_b: usize,
+    /// Declared sparse-index block sizes, applied when a table is built.
+    sparse_a: Option<usize>,
+    sparse_b: Option<usize>,
+    a: OnceLock<TdTable>,
+    b: OnceLock<TdTable>,
 }
 
 impl FragmentedIndex {
-    /// Fragment an index according to `spec`.
+    /// Fragment an index according to `spec`. Reads only the catalog: no
+    /// fragment table is built here.
     pub fn build(index: Arc<InvertedIndex>, spec: FragmentSpec) -> Result<FragmentedIndex> {
         let mut in_a = vec![false; index.vocab_size()];
         let by_df = index.terms_by_df_asc();
@@ -269,17 +283,26 @@ impl FragmentedIndex {
                 }
             }
         }
-        let a = TdTable::from_index(&index, |t| in_a[t as usize]);
-        let b = TdTable::from_index(&index, |t| {
-            !in_a[t as usize] && index.df(t).map(|d| d > 0).unwrap_or(false)
-        });
+        // A table's volume is its terms' *resident* runs: on a shard, df
+        // stays collection-wide while `run_len` counts the postings here.
+        let mut volume_a = 0usize;
+        for (t, &ia) in in_a.iter().enumerate() {
+            if ia {
+                volume_a += index.run_len(t as u32)?;
+            }
+        }
+        let volume_b = total_volume - volume_a;
         Ok(FragmentedIndex {
             index,
             spec,
             in_a,
             df_boundary,
-            a,
-            b,
+            volume_a,
+            volume_b,
+            sparse_a: None,
+            sparse_b: None,
+            a: OnceLock::new(),
+            b: OnceLock::new(),
         })
     }
 
@@ -303,30 +326,62 @@ impl FragmentedIndex {
         self.df_boundary
     }
 
-    /// Fragment A (interesting terms).
+    /// Declare a non-dense index with `block_size` over fragment A's term
+    /// column. It is built with the table (at once if the table exists).
+    pub fn set_sparse_block_a(&mut self, block_size: usize) -> Result<()> {
+        declare_sparse(&mut self.a, &mut self.sparse_a, block_size)
+    }
+
+    /// [`FragmentedIndex::set_sparse_block_a`] for fragment B.
+    pub fn set_sparse_block_b(&mut self, block_size: usize) -> Result<()> {
+        declare_sparse(&mut self.b, &mut self.sparse_b, block_size)
+    }
+
+    /// Fragment A's declared sparse-index block size.
+    pub fn sparse_block_a(&self) -> Option<usize> {
+        self.sparse_a
+    }
+
+    /// Fragment B's declared sparse-index block size.
+    pub fn sparse_block_b(&self) -> Option<usize> {
+        self.sparse_b
+    }
+
+    /// Fragment A (interesting terms), built on first call.
     pub fn fragment_a(&self) -> &TdTable {
-        &self.a
+        self.a.get_or_init(|| {
+            TdTable::from_index(&self.index, |t| self.in_a[t as usize], self.sparse_a)
+                .expect("catalog term ids and the declared block size were validated")
+        })
     }
 
-    /// Fragment B (frequent terms).
+    /// Fragment B (frequent terms), built on first call.
     pub fn fragment_b(&self) -> &TdTable {
-        &self.b
+        self.b.get_or_init(|| {
+            TdTable::from_index(&self.index, |t| !self.in_a[t as usize], self.sparse_b)
+                .expect("catalog term ids and the declared block size were validated")
+        })
     }
 
-    /// Mutable fragment A, e.g. to build its non-dense index.
-    pub fn fragment_a_mut(&mut self) -> &mut TdTable {
-        &mut self.a
+    /// Whether either fragment table has been built.
+    pub fn tables_built(&self) -> bool {
+        self.a.get().is_some() || self.b.get().is_some()
     }
 
-    /// Mutable fragment B, e.g. to build its non-dense index.
-    pub fn fragment_b_mut(&mut self) -> &mut TdTable {
-        &mut self.b
+    /// Fragment A's posting volume, from the catalog.
+    pub fn volume_a(&self) -> usize {
+        self.volume_a
+    }
+
+    /// Fragment B's posting volume, from the catalog.
+    pub fn volume_b(&self) -> usize {
+        self.volume_b
     }
 
     /// A's share of the total posting volume.
     pub fn volume_fraction_a(&self) -> f64 {
-        let total = (self.a.volume() + self.b.volume()).max(1);
-        self.a.volume() as f64 / total as f64
+        let total = (self.volume_a + self.volume_b).max(1);
+        self.volume_a as f64 / total as f64
     }
 
     /// A's share of the observed terms.
@@ -340,6 +395,25 @@ impl FragmentedIndex {
         let observed = self.index.terms_by_df_asc().len().max(1);
         in_a as f64 / observed as f64
     }
+}
+
+/// Record a fragment's declared block size, rejecting a zero block, and
+/// index the table at once if it was already built.
+fn declare_sparse(
+    table: &mut OnceLock<TdTable>,
+    declared: &mut Option<usize>,
+    block_size: usize,
+) -> Result<()> {
+    if block_size == 0 {
+        return Err(IrError::InvalidConfig(
+            "sparse index block size must be positive".into(),
+        ));
+    }
+    if let Some(t) = table.get_mut() {
+        t.sparse = Some(SparseIndex::build(&t.terms, block_size)?);
+    }
+    *declared = Some(block_size);
+    Ok(())
 }
 
 /// Query evaluation strategy over a fragmented index.
@@ -960,7 +1034,7 @@ mod tests {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
         let idx = Arc::new(InvertedIndex::from_collection(&c));
         let mut f = FragmentedIndex::build(idx, FragmentSpec::TermFraction(0.9)).unwrap();
-        f.fragment_a_mut().build_sparse_index(64).unwrap();
+        f.set_sparse_block_a(64).unwrap();
         let f = Arc::new(f);
         let mut fs = FragSearcher::new(
             Arc::clone(&f),
@@ -1093,7 +1167,7 @@ mod tests {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
         let idx = Arc::new(InvertedIndex::from_collection(&c));
         let mut f = FragmentedIndex::build(idx, FragmentSpec::VolumeFraction(0.2)).unwrap();
-        f.fragment_b_mut().build_sparse_index(64).unwrap();
+        f.set_sparse_block_b(64).unwrap();
         let f = Arc::new(f);
         let mut fs = FragSearcher::new(
             Arc::clone(&f),
@@ -1121,8 +1195,7 @@ mod tests {
     fn indexed_lookup_matches_scan_lookup() {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
         let idx = InvertedIndex::from_collection(&c);
-        let mut table = TdTable::from_index(&idx, |_| true);
-        table.build_sparse_index(32).unwrap();
+        let table = TdTable::from_index(&idx, |_| true, Some(32)).unwrap();
         let terms = idx.terms_by_df_asc();
         let qset: HashSet<u32> = [terms[0], terms[terms.len() - 1]].into_iter().collect();
         let mut via_scan = Vec::new();
@@ -1143,6 +1216,41 @@ mod tests {
             SwitchPolicy::default(),
         );
         assert!(fs.search(&[u32::MAX], 5, Strategy::FullScan).is_err());
+    }
+
+    #[test]
+    fn catalog_volumes_match_the_lazily_built_tables() {
+        let c = Collection::generate(CollectionConfig::tiny()).unwrap();
+        let idx = InvertedIndex::from_collection(&c);
+        let shards = idx.shard_by_docs_multi(2, |d| d as usize % 2);
+        let indexes: Vec<Arc<InvertedIndex>> =
+            std::iter::once(idx).chain(shards).map(Arc::new).collect();
+        for spec in [
+            FragmentSpec::VolumeFraction(0.3),
+            FragmentSpec::TermFraction(0.9),
+            FragmentSpec::DfThreshold(3),
+        ] {
+            for index in &indexes {
+                let mut f = FragmentedIndex::build(Arc::clone(index), spec).unwrap();
+                assert!(f.set_sparse_block_a(0).is_err());
+                f.set_sparse_block_a(16).unwrap();
+                f.set_sparse_block_b(64).unwrap();
+                // Catalog reads leave both tables unbuilt.
+                let (va, vb) = (f.volume_a(), f.volume_b());
+                let _ = f.volume_fraction_a() + f.term_fraction_a();
+                assert!(!f.tables_built(), "{spec:?}");
+                assert_eq!(va + vb, index.num_postings());
+                assert_eq!(f.fragment_a().volume(), va, "{spec:?}");
+                assert_eq!(f.fragment_b().volume(), vb, "{spec:?}");
+                assert!(f.tables_built());
+                assert_eq!(f.fragment_a().sparse_block_size(), Some(16));
+                assert_eq!(f.fragment_b().sparse_block_size(), Some(64));
+                // Declaring on a built table indexes it in place.
+                f.set_sparse_block_b(32).unwrap();
+                assert_eq!(f.fragment_b().sparse_block_size(), Some(32));
+                assert_eq!(f.sparse_block_b(), Some(32));
+            }
+        }
     }
 
     #[test]

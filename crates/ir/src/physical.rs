@@ -380,12 +380,8 @@ mod tests {
         let idx = Arc::new(InvertedIndex::from_collection(&c));
         let mut frag = FragmentedIndex::build(idx, FragmentSpec::TermFraction(0.9))
             .expect("a generated collection is never empty");
-        frag.fragment_a_mut()
-            .build_sparse_index(64)
-            .expect("fragment term column is sorted");
-        frag.fragment_b_mut()
-            .build_sparse_index(64)
-            .expect("fragment term column is sorted");
+        frag.set_sparse_block_a(64).expect("positive block size");
+        frag.set_sparse_block_b(64).expect("positive block size");
         let set = EngineSet::new(
             Arc::new(frag),
             RankingModel::default(),

@@ -335,8 +335,8 @@ impl ShardedEngine {
         for (s, shard_index) in shard_indexes.into_iter().enumerate() {
             let mut frag = FragmentedIndex::build(Arc::new(shard_index), frag_spec)?;
             if let Some(block) = sparse_block {
-                frag.fragment_a_mut().build_sparse_index(block)?;
-                frag.fragment_b_mut().build_sparse_index(block)?;
+                frag.set_sparse_block_a(block)?;
+                frag.set_sparse_block_b(block)?;
             }
             let frag = Arc::new(frag);
             let engines = EngineSet::with_kernel(Arc::clone(&frag), Arc::clone(&kernel), policy);

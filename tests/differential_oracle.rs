@@ -777,12 +777,8 @@ fn planner_executed_topn_is_bit_identical_to_the_oracle_for_every_exact_strategy
         let index = Arc::new(InvertedIndex::from_collection(&collection));
         let mut frag = FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.9))
             .expect("non-empty collection");
-        frag.fragment_a_mut()
-            .build_sparse_index(128)
-            .expect("sorted");
-        frag.fragment_b_mut()
-            .build_sparse_index(128)
-            .expect("sorted");
+        frag.set_sparse_block_a(128).expect("positive block size");
+        frag.set_sparse_block_b(128).expect("positive block size");
         let frag = Arc::new(frag);
         let queries = generate_queries(
             &collection,

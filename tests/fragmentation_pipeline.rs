@@ -138,9 +138,7 @@ fn sparse_index_on_b_changes_cost_not_results() {
     let index = Arc::new(InvertedIndex::from_collection(&collection));
     let mut frag = FragmentedIndex::build(Arc::clone(&index), FragmentSpec::VolumeFraction(0.15))
         .expect("non-empty");
-    frag.fragment_b_mut()
-        .build_sparse_index(128)
-        .expect("sorted term column");
+    frag.set_sparse_block_b(128).expect("positive block size");
     let frag = Arc::new(frag);
     let queries = generate_queries(&collection, &QueryConfig::default()).expect("workload");
     let mut searcher = FragSearcher::new(

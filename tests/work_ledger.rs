@@ -116,12 +116,8 @@ fn ledger() -> String {
         .expect("non-empty collection");
     // The serving block size, so the `frag_*_indexed` lines pin the
     // sparse index's lookups as the shards issue them.
-    frag.fragment_a_mut()
-        .build_sparse_index(1024)
-        .expect("positive block size");
-    frag.fragment_b_mut()
-        .build_sparse_index(1024)
-        .expect("positive block size");
+    frag.set_sparse_block_a(1024).expect("positive block size");
+    frag.set_sparse_block_b(1024).expect("positive block size");
     let frag = Arc::new(frag);
     let mut out = String::new();
     for (class, bias) in classes() {
