@@ -395,8 +395,13 @@ impl BlockListBuilder {
         self.num_postings += docs.len();
     }
 
-    /// Seal the builder into an immutable list.
-    pub fn finish(self) -> BlockPostingList {
+    /// Seal the builder into an immutable list, shrinking every array to
+    /// its length so the list carries no doubling-growth slack.
+    pub fn finish(mut self) -> BlockPostingList {
+        self.headers.shrink_to_fit();
+        self.term_blocks.shrink_to_fit();
+        self.term_lens.shrink_to_fit();
+        self.payload.shrink_to_fit();
         BlockPostingList {
             headers: self.headers,
             term_blocks: self.term_blocks,
