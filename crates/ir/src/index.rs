@@ -12,6 +12,8 @@
 //! max tf, document lengths) are kept alongside; the ranking models and
 //! the fragmentation safety check consume them.
 
+use std::sync::Arc;
+
 use moa_corpus::Collection;
 
 use crate::blocks::{BlockListBuilder, BlockPostingList, CursorBuf, CursorPos, TermView};
@@ -32,14 +34,22 @@ pub struct CollectionStats {
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     stats: CollectionStats,
+    /// Shared by the index and every document-partition shard cut from it.
+    catalog: Arc<Catalog>,
+    /// Block-compressed posting payloads, term-major.
+    blocks: BlockPostingList,
+}
+
+/// The collection-wide catalog: per-document lengths and per-term
+/// statistics, the inputs of every ranking model.
+#[derive(Debug)]
+struct Catalog {
     doc_len: Vec<u32>,
     df: Vec<u32>,
     cf: Vec<u64>,
     /// Highest within-document tf of each term (upper bound for the safety
     /// check's score-contribution estimates).
     max_tf: Vec<u32>,
-    /// Block-compressed posting payloads, term-major.
-    blocks: BlockPostingList,
 }
 
 impl InvertedIndex {
@@ -127,10 +137,12 @@ impl InvertedIndex {
                 avg_doc_len: total_tokens as f64 / doc_len.len() as f64,
                 total_tokens,
             },
-            doc_len,
-            df,
-            cf,
-            max_tf,
+            catalog: Arc::new(Catalog {
+                doc_len,
+                df,
+                cf,
+                max_tf,
+            }),
             blocks: builder.finish(),
         })
     }
@@ -147,7 +159,7 @@ impl InvertedIndex {
 
     /// Vocabulary size.
     pub fn vocab_size(&self) -> usize {
-        self.df.len()
+        self.catalog.df.len()
     }
 
     /// Total number of postings (the data volume unit of the fragmentation
@@ -158,7 +170,8 @@ impl InvertedIndex {
 
     /// Document frequency of a term.
     pub fn df(&self, term: u32) -> Result<u32> {
-        self.df
+        self.catalog
+            .df
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -166,7 +179,8 @@ impl InvertedIndex {
 
     /// Collection frequency of a term.
     pub fn cf(&self, term: u32) -> Result<u64> {
-        self.cf
+        self.catalog
+            .cf
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -174,7 +188,8 @@ impl InvertedIndex {
 
     /// Highest within-document tf of a term.
     pub fn max_tf(&self, term: u32) -> Result<u32> {
-        self.max_tf
+        self.catalog
+            .max_tf
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -182,12 +197,12 @@ impl InvertedIndex {
 
     /// Length (token count) of a document.
     pub fn doc_len(&self, doc: u32) -> u32 {
-        self.doc_len.get(doc as usize).copied().unwrap_or(0)
+        self.catalog.doc_len.get(doc as usize).copied().unwrap_or(0)
     }
 
     /// All document lengths.
     pub fn doc_lens(&self) -> &[u32] {
-        &self.doc_len
+        &self.catalog.doc_len
     }
 
     /// Length of a term's *resident* posting run. Equals `df` on an index
@@ -197,7 +212,7 @@ impl InvertedIndex {
     /// wide catalog statistic. Work estimates (planner pricing, scan
     /// volumes) should use this; ranking-model inputs should use `df`.
     pub fn run_len(&self, term: u32) -> Result<usize> {
-        if term as usize >= self.df.len() {
+        if term as usize >= self.catalog.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.run_len(term))
@@ -214,7 +229,7 @@ impl InvertedIndex {
     /// the allocation-free full-run path of the set-at-a-time evaluator
     /// and the table builders.
     pub fn for_each_posting(&self, term: u32, f: impl FnMut(u32, u32)) -> Result<()> {
-        if term as usize >= self.df.len() {
+        if term as usize >= self.catalog.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         self.blocks.for_each(term, f);
@@ -230,7 +245,7 @@ impl InvertedIndex {
         term: u32,
         f: impl FnMut(u32, u32) -> bool,
     ) -> Result<bool> {
-        if term as usize >= self.df.len() {
+        if term as usize >= self.catalog.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.for_each_while(term, f))
@@ -240,7 +255,7 @@ impl InvertedIndex {
     /// Pays one decode pass plus two allocations — use
     /// [`InvertedIndex::for_each_posting`] or a cursor on hot paths.
     pub fn decode_postings(&self, term: u32) -> Result<(Vec<u32>, Vec<u32>)> {
-        if term as usize >= self.df.len() {
+        if term as usize >= self.catalog.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.decode_term(term))
@@ -252,7 +267,7 @@ impl InvertedIndex {
     /// allocation); the DAAT kernel's scratch-pooled path avoids even that
     /// via [`crate::scratch::QueryScratch`].
     pub fn cursor(&self, term: u32) -> Result<PostingCursor<'_>> {
-        if term as usize >= self.df.len() {
+        if term as usize >= self.catalog.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(PostingCursor::new(self.blocks.view(term)))
@@ -260,9 +275,9 @@ impl InvertedIndex {
 
     /// Build a document-partition *shard* of this index: only postings
     /// whose document passes `keep` are retained, while **every catalog
-    /// statistic stays global** — `df`, `cf`, `max_tf`, the per-document
-    /// lengths, and the collection stats are copied from the full index
-    /// unchanged. Ranking-model weights computed on the shard are
+    /// statistic stays global** — the shard shares the full index's
+    /// `df`, `cf`, `max_tf` and per-document lengths (one `Arc`, not a
+    /// copy) and carries its collection stats unchanged. Ranking-model weights computed on the shard are
     /// therefore bit-identical to the unsharded index (same `f64`
     /// constants, same per-document norms, same document ids), which is
     /// what lets `moa_serve` merge shard-local top-N heaps into the exact
@@ -277,8 +292,8 @@ impl InvertedIndex {
     /// Partition this index into `shards` document-partition shards in
     /// **one pass** over the postings: `assign(doc)` names each
     /// document's shard (values ≥ `shards` are clamped to the last).
-    /// Each shard re-encodes its resident runs into its own block store;
-    /// catalog statistics stay global (see
+    /// Each shard re-encodes its resident runs into its own block store
+    /// and shares this index's catalog (see
     /// [`InvertedIndex::shard_by_docs`]).
     pub fn shard_by_docs_multi(
         &self,
@@ -308,10 +323,7 @@ impl InvertedIndex {
             .into_iter()
             .map(|b| InvertedIndex {
                 stats: self.stats,
-                doc_len: self.doc_len.clone(),
-                df: self.df.clone(),
-                cf: self.cf.clone(),
-                max_tf: self.max_tf.clone(),
+                catalog: Arc::clone(&self.catalog),
                 blocks: b.finish(),
             })
             .collect()
@@ -321,10 +333,10 @@ impl InvertedIndex {
     /// fragmentation uses); ties broken by term id. Terms with df = 0 are
     /// excluded.
     pub fn terms_by_df_asc(&self) -> Vec<u32> {
-        let mut terms: Vec<u32> = (0..self.df.len() as u32)
-            .filter(|&t| self.df[t as usize] > 0)
+        let mut terms: Vec<u32> = (0..self.catalog.df.len() as u32)
+            .filter(|&t| self.catalog.df[t as usize] > 0)
             .collect();
-        terms.sort_by_key(|&t| (self.df[t as usize], t));
+        terms.sort_by_key(|&t| (self.catalog.df[t as usize], t));
         terms
     }
 }
@@ -615,7 +627,8 @@ mod tests {
         let shards: Vec<InvertedIndex> =
             (0..p).map(|s| idx.shard_by_docs(|d| d % p == s)).collect();
         for shard in &shards {
-            // Catalog statistics are global...
+            // Catalog statistics are global, and shared rather than copied...
+            assert!(std::ptr::eq(shard.doc_lens(), idx.doc_lens()));
             assert_eq!(shard.stats(), idx.stats());
             assert_eq!(shard.num_docs(), idx.num_docs());
             assert_eq!(shard.vocab_size(), idx.vocab_size());
