@@ -134,6 +134,13 @@ pub struct Posting {
     pub tf: u32,
 }
 
+impl From<Posting> for (u32, u32, u32) {
+    /// The `(term, doc, tf)` triple index builders consume.
+    fn from(p: Posting) -> (u32, u32, u32) {
+        (p.term, p.doc, p.tf)
+    }
+}
+
 /// A generated collection: postings sorted by `(term, doc)` plus per-term
 /// and per-document statistics.
 #[derive(Debug, Clone)]

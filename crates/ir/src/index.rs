@@ -55,29 +55,26 @@ struct Catalog {
 impl InvertedIndex {
     /// Build an index from a generated collection.
     pub fn from_collection(collection: &Collection) -> InvertedIndex {
-        let triples: Vec<(u32, u32, u32)> = collection
-            .postings()
-            .iter()
-            .map(|p| (p.term, p.doc, p.tf))
-            .collect();
         InvertedIndex::from_sorted_postings(
             collection.vocab_size(),
             collection.doc_len().to_vec(),
-            &triples,
+            collection.postings(),
         )
         .expect("generated collections are non-empty and sorted")
     }
 
-    /// Build an index from `(term, doc, tf)` triples sorted by `(term,
+    /// Build an index from `(term, doc, tf)` postings sorted by `(term,
     /// doc)`, with the given vocabulary size and per-document token counts.
-    /// Used by [`crate::text::IndexBuilder`] and available for custom
-    /// ingestion pipelines. This is the single block-encode point: every
-    /// construction path (text ingestion, synthetic collections, document
-    /// sharding) funnels through here.
-    pub fn from_sorted_postings(
+    /// A posting is anything that converts to a `(term, doc, tf)` triple:
+    /// plain tuples, or a collection's own [`moa_corpus::Posting`]s read
+    /// in place. Used by [`crate::text::IndexBuilder`] and available for
+    /// custom ingestion pipelines. Every index is block-encoded here,
+    /// except the shards [`InvertedIndex::shard_by_docs_multi`] re-encodes
+    /// from an existing index.
+    pub fn from_sorted_postings<P: Copy + Into<(u32, u32, u32)>>(
         vocab: usize,
         doc_len: Vec<u32>,
-        postings: &[(u32, u32, u32)],
+        postings: &[P],
     ) -> Result<InvertedIndex> {
         if doc_len.is_empty() {
             return Err(IrError::InvalidConfig(
@@ -88,10 +85,11 @@ impl InvertedIndex {
         // (one posting per term-document cell; builders aggregate tfs),
         // and the delta encoder requires strictly increasing doc ids
         // within a run.
-        if postings
-            .windows(2)
-            .any(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1))
-        {
+        let triple = |i: usize| -> (u32, u32, u32) { postings[i].into() };
+        if (1..postings.len()).any(|i| {
+            let ((t0, d0, _), (t1, d1, _)) = (triple(i - 1), triple(i));
+            (t0, d0) >= (t1, d1)
+        }) {
             return Err(IrError::InvalidConfig(
                 "postings must be strictly sorted by (term, doc) with no duplicates".into(),
             ));
@@ -99,7 +97,8 @@ impl InvertedIndex {
         let mut df = vec![0u32; vocab];
         let mut cf = vec![0u64; vocab];
         let mut max_tf = vec![0u32; vocab];
-        for &(term, doc, tf) in postings {
+        for &p in postings {
+            let (term, doc, tf) = p.into();
             let t = term as usize;
             if t >= vocab {
                 return Err(IrError::UnknownTerm(term));
@@ -123,9 +122,10 @@ impl InvertedIndex {
         for t in 0..vocab as u32 {
             run_docs.clear();
             run_tfs.clear();
-            while i < postings.len() && postings[i].0 == t {
-                run_docs.push(postings[i].1);
-                run_tfs.push(postings[i].2);
+            while i < postings.len() && triple(i).0 == t {
+                let (_, doc, tf) = triple(i);
+                run_docs.push(doc);
+                run_tfs.push(tf);
                 i += 1;
             }
             builder.push_run(&run_docs, &run_tfs);
@@ -701,7 +701,8 @@ mod tests {
         // Doc beyond doc_len rejected.
         assert!(InvertedIndex::from_sorted_postings(2, vec![1], &[(0, 3, 1)]).is_err());
         // Empty collection rejected.
-        assert!(InvertedIndex::from_sorted_postings(2, vec![], &[]).is_err());
+        let none: &[(u32, u32, u32)] = &[];
+        assert!(InvertedIndex::from_sorted_postings(2, vec![], none).is_err());
         // A valid minimal index.
         let idx =
             InvertedIndex::from_sorted_postings(2, vec![3, 2], &[(0, 0, 2), (1, 1, 1)]).unwrap();
