@@ -19,11 +19,11 @@
 //!
 //! Overload and failure semantics ride through from the pool: admission
 //! is bounded ([`ServeConfig::queue_depth`], [`ServeConfig::admission`]),
-//! a shed batch surfaces as [`ServeError::Shed`] from
+//! a shed batch surfaces as [`crate::ServeError::Shed`] from
 //! [`ServeSession::enqueue`] before any work happens, per-query deadline
 //! budgets ([`ServeConfig::deadline`]) degrade to `partial` responses
 //! instead of erroring, and a worker panic fails only the affected
-//! positions ([`ServeError::ShardFailed`]) while the session keeps
+//! positions ([`crate::ServeError::ShardFailed`]) while the session keeps
 //! serving. [`ServeStats`] counts each posture.
 
 use std::fmt::Write as _;
@@ -35,7 +35,7 @@ use moa_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 
 use crate::admission::AdmissionPolicy;
 use crate::cache::{CacheConfig, ResultCache};
-use crate::fault::{ServeError, ServeResult};
+use crate::fault::ServeResult;
 use crate::pool::{BatchTicket, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery};
 use crate::shard::{merge_columns, BatchQuery, QueryResponse, ServeMode, ShardSpec, ShardedEngine};
 
@@ -157,14 +157,6 @@ impl BatchReport {
             .iter()
             .map(|r| r.as_ref().expect("no position of this batch failed"))
             .collect()
-    }
-
-    /// Positions that failed, with their errors.
-    pub fn failures(&self) -> impl Iterator<Item = (usize, &ServeError)> {
-        self.responses
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().err().map(|e| (i, e)))
     }
 }
 
@@ -451,7 +443,7 @@ impl ServeSession {
     /// per-query aggregated [`ExecReport`](moa_ir::ExecReport)s and the
     /// batch's wall-clock time. Equivalent to [`ServeSession::enqueue`] followed immediately
     /// by [`ServeSession::collect`]. The outer error is admission only
-    /// ([`ServeError::Shed`]: nothing executed, retry the batch verbatim);
+    /// ([`crate::ServeError::Shed`]: nothing executed, retry the batch verbatim);
     /// in-flight failures surface per position inside the report.
     pub fn submit_many(&mut self, queries: &[BatchQuery]) -> ServeResult<BatchReport> {
         let pending = self.enqueue(queries)?;
@@ -463,7 +455,7 @@ impl ServeSession {
     /// admission order, up to [`ServeConfig::queue_depth`]) or do
     /// unrelated work — e.g. merge the previous batch — while the shards
     /// serve this one. Under [`AdmissionPolicy::Shed`] / `TryNow`, a
-    /// saturated pool refuses here with [`ServeError::Shed`] before any
+    /// saturated pool refuses here with [`crate::ServeError::Shed`] before any
     /// work happens.
     ///
     /// With [`ServeConfig::cache`] enabled, the result cache is
