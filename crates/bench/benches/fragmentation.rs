@@ -62,6 +62,9 @@ fn bench_strategies(c: &mut Criterion) {
         ),
     ];
     for (label, frag, strategy) in cases {
+        // Fragment tables are built on first use; keep that out of the
+        // measured queries.
+        let _ = (frag.fragment_a(), frag.fragment_b());
         let mut searcher = FragSearcher::new(
             Arc::clone(&frag),
             RankingModel::default(),

@@ -2,7 +2,8 @@
 //!
 //! [`ShardedEngine`] takes the paper's horizontal fragmentation to its
 //! parallel conclusion: the collection is *document*-partitioned into P
-//! shards, each shard gets its own df-fragmented term–document table and
+//! shards, each shard gets its own df-fragmented term–document matrix
+//! (its tables built only if a fragmented plan runs there) and
 //! [`EngineSet`] (all four physical paths), and a query runs on every
 //! shard. The concurrent runtime is [`crate::pool::ShardPool`], one
 //! long-lived worker per shard; [`ShardedEngine`] itself runs the shards
@@ -11,10 +12,11 @@
 //! answer bit-identical to a single unsharded engine:
 //!
 //! 1. **Global catalog, local postings** —
-//!    [`InvertedIndex::shard_by_docs`] keeps every ranking-model input
-//!    (df, cf, document lengths, collection stats) collection-wide, so a
-//!    document scores to the identical `f64` on its shard as it would
-//!    unsharded; one [`moa_ir::ScoreKernel`] is shared by all shards.
+//!    [`InvertedIndex::shard_by_docs`] hands every shard the unsharded
+//!    index's catalog (df, cf, document lengths) behind the same `Arc`,
+//!    with the collection stats, so a document scores to the identical
+//!    `f64` on its shard as it would unsharded; one
+//!    [`moa_ir::ScoreKernel`] is shared by all shards.
 //! 2. **Tie-stable merge** — shard-local heaps keep their partition's
 //!    top N; [`moa_topn::kway_merge_sorted`] folds them under the same
 //!    (score desc, id asc) order every engine path uses.
@@ -315,9 +317,10 @@ impl ShardedEngine {
     /// planner) per shard. The scoring kernel is built once from the
     /// unsharded index and shared — shards carry the identical global
     /// statistics, so per-shard kernels would be bit-for-bit copies.
-    /// `sparse_block` additionally builds each shard fragment's non-dense
-    /// index with that block size (making the indexed fragmented plans
-    /// feasible for the per-shard planners).
+    /// `sparse_block` declares a non-dense index with that block size on
+    /// each shard fragment (making the indexed fragmented plans feasible
+    /// for the per-shard planners); like the fragment tables, it is built
+    /// only when a fragmented plan first runs on the shard.
     pub fn build(
         index: Arc<InvertedIndex>,
         shard_spec: ShardSpec,
