@@ -85,7 +85,7 @@ impl TdTable {
     /// Build a fragment table holding the postings of the selected terms,
     /// with a non-dense index over its sorted term column when
     /// `sparse_block` names a block size.
-    pub fn from_index(
+    pub(crate) fn from_index(
         index: &InvertedIndex,
         keep: impl Fn(u32) -> bool,
         sparse_block: Option<usize>,
@@ -117,11 +117,6 @@ impl TdTable {
     /// Number of `(term, doc, tf)` entries (the fragment's volume).
     pub fn volume(&self) -> usize {
         self.terms.len()
-    }
-
-    /// The sparse index's block size (lookup granularity), when built.
-    pub fn sparse_block_size(&self) -> Option<usize> {
-        self.sparse.as_ref().map(SparseIndex::block_size)
     }
 
     /// Retrieve the postings of `query_terms` by scanning the whole table
@@ -1243,11 +1238,20 @@ mod tests {
                 assert_eq!(f.fragment_a().volume(), va, "{spec:?}");
                 assert_eq!(f.fragment_b().volume(), vb, "{spec:?}");
                 assert!(f.tables_built());
-                assert_eq!(f.fragment_a().sparse_block_size(), Some(16));
-                assert_eq!(f.fragment_b().sparse_block_size(), Some(64));
+                assert_eq!(
+                    f.fragment_a().sparse.as_ref().map(SparseIndex::block_size),
+                    Some(16)
+                );
+                assert_eq!(
+                    f.fragment_b().sparse.as_ref().map(SparseIndex::block_size),
+                    Some(64)
+                );
                 // Declaring on a built table indexes it in place.
                 f.set_sparse_block_b(32).unwrap();
-                assert_eq!(f.fragment_b().sparse_block_size(), Some(32));
+                assert_eq!(
+                    f.fragment_b().sparse.as_ref().map(SparseIndex::block_size),
+                    Some(32)
+                );
                 assert_eq!(f.sparse_block_b(), Some(32));
             }
         }
