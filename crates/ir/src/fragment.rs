@@ -322,7 +322,8 @@ impl FragmentedIndex {
     }
 
     /// Declare a non-dense index with `block_size` over fragment A's term
-    /// column. It is built with the table (at once if the table exists).
+    /// column. It is built with the table; a table built before the
+    /// declaration is dropped and rebuilt on its next read.
     pub fn set_sparse_block_a(&mut self, block_size: usize) -> Result<()> {
         declare_sparse(&mut self.a, &mut self.sparse_a, block_size)
     }
@@ -393,7 +394,7 @@ impl FragmentedIndex {
 }
 
 /// Record a fragment's declared block size, rejecting a zero block, and
-/// index the table at once if it was already built.
+/// drop a table built without it.
 fn declare_sparse(
     table: &mut OnceLock<TdTable>,
     declared: &mut Option<usize>,
@@ -404,9 +405,7 @@ fn declare_sparse(
             "sparse index block size must be positive".into(),
         ));
     }
-    if let Some(t) = table.get_mut() {
-        t.sparse = Some(SparseIndex::build(&t.terms, block_size)?);
-    }
+    table.take();
     *declared = Some(block_size);
     Ok(())
 }
@@ -1246,7 +1245,7 @@ mod tests {
                     f.fragment_b().sparse.as_ref().map(SparseIndex::block_size),
                     Some(64)
                 );
-                // Declaring on a built table indexes it in place.
+                // Declaring on a built table rebuilds it with the index.
                 f.set_sparse_block_b(32).unwrap();
                 assert_eq!(
                     f.fragment_b().sparse.as_ref().map(SparseIndex::block_size),
