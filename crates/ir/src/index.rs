@@ -31,25 +31,24 @@ pub struct CollectionStats {
 }
 
 /// A term-major inverted index over a document collection.
+///
+/// The catalog arrays (per-document lengths, per-term df, cf and max tf)
+/// are shared by the index and every document-partition shard cut from
+/// it. Each is its own `Arc<[_]>` whose pointer sits in the index itself,
+/// so a query reads them exactly as it would a plain `Vec`: no small
+/// shared header block, whose heap neighbours would change from run to
+/// run, lies on the query path.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     stats: CollectionStats,
-    /// Shared by the index and every document-partition shard cut from it.
-    catalog: Arc<Catalog>,
-    /// Block-compressed posting payloads, term-major.
-    blocks: BlockPostingList,
-}
-
-/// The collection-wide catalog: per-document lengths and per-term
-/// statistics, the inputs of every ranking model.
-#[derive(Debug)]
-struct Catalog {
-    doc_len: Vec<u32>,
-    df: Vec<u32>,
-    cf: Vec<u64>,
+    doc_len: Arc<[u32]>,
+    df: Arc<[u32]>,
+    cf: Arc<[u64]>,
     /// Highest within-document tf of each term (upper bound for the safety
     /// check's score-contribution estimates).
-    max_tf: Vec<u32>,
+    max_tf: Arc<[u32]>,
+    /// Block-compressed posting payloads, term-major.
+    blocks: BlockPostingList,
 }
 
 impl InvertedIndex {
@@ -113,6 +112,20 @@ impl InvertedIndex {
             cf[t] += u64::from(tf);
             max_tf[t] = max_tf[t].max(tf);
         }
+        let total_tokens: u64 = doc_len.iter().map(|&l| u64::from(l)).sum();
+        let stats = CollectionStats {
+            num_docs: doc_len.len(),
+            avg_doc_len: total_tokens as f64 / doc_len.len() as f64,
+            total_tokens,
+        };
+        // Into their shared form before the postings are encoded, so the
+        // copy does not add to the build's peak.
+        let (doc_len, df, cf, max_tf) = (
+            Arc::from(doc_len),
+            Arc::from(df),
+            Arc::from(cf),
+            Arc::from(max_tf),
+        );
         // Encode term by term: `postings` is (term, doc)-sorted, so each
         // term's triples form one doc-ascending run.
         let mut builder = BlockListBuilder::new();
@@ -130,19 +143,12 @@ impl InvertedIndex {
             }
             builder.push_run(&run_docs, &run_tfs);
         }
-        let total_tokens: u64 = doc_len.iter().map(|&l| u64::from(l)).sum();
         Ok(InvertedIndex {
-            stats: CollectionStats {
-                num_docs: doc_len.len(),
-                avg_doc_len: total_tokens as f64 / doc_len.len() as f64,
-                total_tokens,
-            },
-            catalog: Arc::new(Catalog {
-                doc_len,
-                df,
-                cf,
-                max_tf,
-            }),
+            stats,
+            doc_len,
+            df,
+            cf,
+            max_tf,
             blocks: builder.finish(),
         })
     }
@@ -159,7 +165,7 @@ impl InvertedIndex {
 
     /// Vocabulary size.
     pub fn vocab_size(&self) -> usize {
-        self.catalog.df.len()
+        self.df.len()
     }
 
     /// Total number of postings (the data volume unit of the fragmentation
@@ -170,8 +176,7 @@ impl InvertedIndex {
 
     /// Document frequency of a term.
     pub fn df(&self, term: u32) -> Result<u32> {
-        self.catalog
-            .df
+        self.df
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -179,8 +184,7 @@ impl InvertedIndex {
 
     /// Collection frequency of a term.
     pub fn cf(&self, term: u32) -> Result<u64> {
-        self.catalog
-            .cf
+        self.cf
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -188,8 +192,7 @@ impl InvertedIndex {
 
     /// Highest within-document tf of a term.
     pub fn max_tf(&self, term: u32) -> Result<u32> {
-        self.catalog
-            .max_tf
+        self.max_tf
             .get(term as usize)
             .copied()
             .ok_or(IrError::UnknownTerm(term))
@@ -197,12 +200,12 @@ impl InvertedIndex {
 
     /// Length (token count) of a document.
     pub fn doc_len(&self, doc: u32) -> u32 {
-        self.catalog.doc_len.get(doc as usize).copied().unwrap_or(0)
+        self.doc_len.get(doc as usize).copied().unwrap_or(0)
     }
 
     /// All document lengths.
     pub fn doc_lens(&self) -> &[u32] {
-        &self.catalog.doc_len
+        &self.doc_len
     }
 
     /// Length of a term's *resident* posting run. Equals `df` on an index
@@ -212,7 +215,7 @@ impl InvertedIndex {
     /// wide catalog statistic. Work estimates (planner pricing, scan
     /// volumes) should use this; ranking-model inputs should use `df`.
     pub fn run_len(&self, term: u32) -> Result<usize> {
-        if term as usize >= self.catalog.df.len() {
+        if term as usize >= self.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.run_len(term))
@@ -229,7 +232,7 @@ impl InvertedIndex {
     /// the allocation-free full-run path of the set-at-a-time evaluator
     /// and the table builders.
     pub fn for_each_posting(&self, term: u32, f: impl FnMut(u32, u32)) -> Result<()> {
-        if term as usize >= self.catalog.df.len() {
+        if term as usize >= self.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         self.blocks.for_each(term, f);
@@ -245,7 +248,7 @@ impl InvertedIndex {
         term: u32,
         f: impl FnMut(u32, u32) -> bool,
     ) -> Result<bool> {
-        if term as usize >= self.catalog.df.len() {
+        if term as usize >= self.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.for_each_while(term, f))
@@ -255,7 +258,7 @@ impl InvertedIndex {
     /// Pays one decode pass plus two allocations — use
     /// [`InvertedIndex::for_each_posting`] or a cursor on hot paths.
     pub fn decode_postings(&self, term: u32) -> Result<(Vec<u32>, Vec<u32>)> {
-        if term as usize >= self.catalog.df.len() {
+        if term as usize >= self.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(self.blocks.decode_term(term))
@@ -267,7 +270,7 @@ impl InvertedIndex {
     /// allocation); the DAAT kernel's scratch-pooled path avoids even that
     /// via [`crate::scratch::QueryScratch`].
     pub fn cursor(&self, term: u32) -> Result<PostingCursor<'_>> {
-        if term as usize >= self.catalog.df.len() {
+        if term as usize >= self.df.len() {
             return Err(IrError::UnknownTerm(term));
         }
         Ok(PostingCursor::new(self.blocks.view(term)))
@@ -276,8 +279,9 @@ impl InvertedIndex {
     /// Build a document-partition *shard* of this index: only postings
     /// whose document passes `keep` are retained, while **every catalog
     /// statistic stays global** — the shard shares the full index's
-    /// `df`, `cf`, `max_tf` and per-document lengths (one `Arc`, not a
-    /// copy) and carries its collection stats unchanged. Ranking-model weights computed on the shard are
+    /// `df`, `cf`, `max_tf` and per-document lengths (`Arc`s, not
+    /// copies) and carries its collection stats unchanged. Ranking-model
+    /// weights computed on the shard are
     /// therefore bit-identical to the unsharded index (same `f64`
     /// constants, same per-document norms, same document ids), which is
     /// what lets `moa_serve` merge shard-local top-N heaps into the exact
@@ -323,7 +327,10 @@ impl InvertedIndex {
             .into_iter()
             .map(|b| InvertedIndex {
                 stats: self.stats,
-                catalog: Arc::clone(&self.catalog),
+                doc_len: Arc::clone(&self.doc_len),
+                df: Arc::clone(&self.df),
+                cf: Arc::clone(&self.cf),
+                max_tf: Arc::clone(&self.max_tf),
                 blocks: b.finish(),
             })
             .collect()
@@ -333,10 +340,10 @@ impl InvertedIndex {
     /// fragmentation uses); ties broken by term id. Terms with df = 0 are
     /// excluded.
     pub fn terms_by_df_asc(&self) -> Vec<u32> {
-        let mut terms: Vec<u32> = (0..self.catalog.df.len() as u32)
-            .filter(|&t| self.catalog.df[t as usize] > 0)
+        let mut terms: Vec<u32> = (0..self.df.len() as u32)
+            .filter(|&t| self.df[t as usize] > 0)
             .collect();
-        terms.sort_by_key(|&t| (self.catalog.df[t as usize], t));
+        terms.sort_by_key(|&t| (self.df[t as usize], t));
         terms
     }
 }

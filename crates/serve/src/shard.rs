@@ -13,8 +13,8 @@
 //!
 //! 1. **Global catalog, local postings** —
 //!    [`InvertedIndex::shard_by_docs`] hands every shard the unsharded
-//!    index's catalog (df, cf, document lengths) behind the same `Arc`,
-//!    with the collection stats, so a document scores to the identical
+//!    index's catalog arrays (df, cf, document lengths) behind the same
+//!    `Arc`s, with the collection stats, so a document scores to the identical
 //!    `f64` on its shard as it would unsharded; one
 //!    [`moa_ir::ScoreKernel`] is shared by all shards.
 //! 2. **Tie-stable merge** — shard-local heaps keep their partition's
