@@ -16,6 +16,11 @@ use crate::error::{CoreError, Result};
 use crate::expr::{Expr, ExtensionId};
 use crate::value::Value;
 
+/// Deepest nesting of collection literals and operator applications the
+/// parser accepts. Deeper input is a parse error rather than a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parse an expression from its concrete syntax.
 pub fn parse_expr(input: &str) -> Result<Expr> {
     let mut p = Parser::new(input);
@@ -30,6 +35,7 @@ pub fn parse_expr(input: &str) -> Result<Expr> {
 struct Parser<'s> {
     src: &'s [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -37,6 +43,7 @@ impl<'s> Parser<'s> {
         Parser {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -84,6 +91,17 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Run `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn ident(&mut self) -> Result<String> {
         self.skip_ws();
         let start = self.pos;
@@ -121,16 +139,19 @@ impl<'s> Parser<'s> {
                 self.expect(b'.')?;
                 let op = self.ident()?;
                 self.expect(b'(')?;
-                let mut args = Vec::new();
-                if !self.eat(b')') {
-                    loop {
-                        args.push(self.expr()?);
-                        if self.eat(b')') {
-                            break;
+                let args = self.nested(|p| {
+                    let mut args = Vec::new();
+                    if !p.eat(b')') {
+                        loop {
+                            args.push(p.expr()?);
+                            if p.eat(b')') {
+                                break;
+                            }
+                            p.expect(b',')?;
                         }
-                        self.expect(b',')?;
                     }
-                }
+                    Ok(args)
+                })?;
                 Ok(Expr::Apply { ext, op, args })
             }
             _ => Ok(Expr::Const(self.value()?)),
@@ -142,39 +163,25 @@ impl<'s> Parser<'s> {
         match self.peek() {
             Some(b'[') => {
                 self.bump();
-                Ok(Value::List(self.value_seq(b']')?))
+                Ok(Value::List(self.nested(|p| p.value_seq(b']'))?))
             }
             Some(b'{') => {
                 self.bump();
                 if self.peek() == Some(b'|') {
                     self.bump();
-                    let items = self.value_seq_until_bag()?;
+                    let items = self.nested(Self::value_seq_until_bag)?;
                     Ok(Value::bag(items))
                 } else {
-                    Ok(Value::set(self.value_seq(b'}')?))
+                    Ok(Value::set(self.nested(|p| p.value_seq(b'}'))?))
                 }
             }
             Some(b'(') => {
                 self.bump();
-                Ok(Value::Tuple(self.value_seq(b')')?))
+                Ok(Value::Tuple(self.nested(|p| p.value_seq(b')'))?))
             }
             Some(b'"') => {
                 self.bump();
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some(b'"') => break,
-                        Some(b'\\') => match self.bump() {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'n') => s.push('\n'),
-                            _ => return Err(self.error("bad escape")),
-                        },
-                        Some(c) => s.push(c as char),
-                        None => return Err(self.error("unterminated string")),
-                    }
-                }
-                Ok(Value::Str(s))
+                self.string().map(Value::Str)
             }
             Some(b't') | Some(b'f') => {
                 let word = self.ident()?;
@@ -187,6 +194,52 @@ impl<'s> Parser<'s> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// The rest of a string literal after its opening quote. Accepts every
+    /// escape that `str`'s `Debug` form writes, which is how `Value::Str`
+    /// displays.
+    fn string(&mut self) -> Result<String> {
+        let mut bytes = Vec::new();
+        loop {
+            match self.bump() {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    let c = self.escape()?;
+                    bytes.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                Some(b) => bytes.push(b),
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+        // The input is a `str` and quotes and backslashes are ASCII, so the
+        // raw runs between them are whole UTF-8 sequences.
+        Ok(String::from_utf8(bytes).expect("string literal is valid UTF-8"))
+    }
+
+    /// The character an escape stands for, read after its backslash.
+    fn escape(&mut self) -> Result<char> {
+        let c = match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'0') => '\0',
+            Some(b'u') if self.bump() == Some(b'{') => {
+                let start = self.pos;
+                while matches!(self.peek(), Some(c) if c.is_ascii_hexdigit()) {
+                    self.pos += 1;
+                }
+                let hex = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii hex");
+                match u32::from_str_radix(hex, 16).ok().and_then(char::from_u32) {
+                    Some(c) if self.bump() == Some(b'}') => c,
+                    _ => return Err(self.error("bad unicode escape")),
+                }
+            }
+            _ => return Err(self.error("bad escape")),
+        };
+        Ok(c)
     }
 
     fn value_seq(&mut self, close: u8) -> Result<Vec<Value>> {
@@ -346,6 +399,32 @@ mod tests {
         assert!(parse_expr("{|1, 2}").is_err());
         assert!(parse_expr("\"unterminated").is_err());
         assert!(parse_expr("truthy").is_err());
+        assert!(parse_expr("\"\\q\"").is_err());
+        assert!(parse_expr("\"\\u{d800}\"").is_err());
+        assert!(parse_expr("\"\\u{110000}\"").is_err());
+        assert!(parse_expr("\"\\u{}\"").is_err());
+        assert!(parse_expr("\"\\u{41\"").is_err());
+    }
+
+    #[test]
+    fn string_literals_roundtrip_through_display() {
+        for s in [
+            "é", "日本", "a\tb", "\r", "\0", "\u{1b}", "\u{200b}", "'", "\"\\\n",
+        ] {
+            let e = Expr::Const(Value::Str(s.into()));
+            let shown = e.to_string();
+            let parsed = parse_expr(&shown).unwrap_or_else(|err| panic!("{shown}: {err}"));
+            assert_eq!(parsed, e, "{shown}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error() {
+        for depth in [1_000, 100_000] {
+            assert!(parse_expr(&"[".repeat(depth)).is_err(), "depth {depth}");
+        }
+        let ok = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse_expr(&ok).is_ok());
     }
 
     #[test]

@@ -66,10 +66,9 @@ impl InvertedIndex {
     /// doc)`, with the given vocabulary size and per-document token counts.
     /// A posting is anything that converts to a `(term, doc, tf)` triple:
     /// plain tuples, or a collection's own [`moa_corpus::Posting`]s read
-    /// in place. Used by [`crate::text::IndexBuilder`] and available for
-    /// custom ingestion pipelines. Every index is block-encoded here,
-    /// except the shards [`InvertedIndex::shard_by_docs_multi`] re-encodes
-    /// from an existing index.
+    /// in place. Every index is block-encoded here, except the shards
+    /// [`InvertedIndex::shard_by_docs_multi`] re-encodes from an existing
+    /// index.
     pub fn from_sorted_postings<P: Copy + Into<(u32, u32, u32)>>(
         vocab: usize,
         doc_len: Vec<u32>,

@@ -3,7 +3,6 @@
 //! The retrieval substrate of the Moa top-N reproduction, modeled on the
 //! mi Ror engine the paper's group ran at TREC:
 //!
-//! * [`dict`] — term dictionary (FxHash-interned),
 //! * [`blocks`] — block-compressed posting storage: 128-entry blocks,
 //!   delta-encoded bit-packed payloads, contiguous per-block headers,
 //!   decode-on-demand cursors,
@@ -30,7 +29,7 @@
 //! * [`physical`] — the unified physical retrieval layer: every searcher
 //!   returns one [`ExecReport`] shape, and [`EngineSet::execute`] runs any
 //!   [`PhysicalPlan`] so a cost-driven planner can pick among them,
-//! * [`metrics`] — precision/recall/AP and ranking-overlap metrics.
+//! * [`metrics`] — average precision and ranking-overlap metrics.
 
 #![warn(missing_docs)]
 
@@ -38,7 +37,6 @@ pub mod accum;
 pub mod blocks;
 pub mod daat;
 pub mod deadline;
-pub mod dict;
 pub mod error;
 pub mod eval;
 pub mod fragment;
@@ -49,25 +47,22 @@ pub mod ranking;
 pub mod safety;
 pub mod scorer;
 pub mod scratch;
-pub mod text;
 pub mod threshold;
 
 pub use accum::EpochAccumulator;
 pub use blocks::{BlockHeader, BlockPostingList, CursorBuf, BLOCK_LEN};
 pub use daat::DaatSearcher;
 pub use deadline::DeadlineGate;
-pub use dict::Dictionary;
 pub use error::{IrError, Result};
 pub use eval::Searcher;
 pub use fragment::{
     FragSearchReport, FragSearcher, FragmentSpec, FragmentedIndex, ScanStats, Strategy, TdTable,
 };
 pub use index::{CollectionStats, InvertedIndex, PostingCursor};
-pub use metrics::{average_precision, footrule_at, mean_of, overlap_at, precision_at, recall_at};
+pub use metrics::{average_precision, mean_of, overlap_at};
 pub use physical::{EngineSet, ExecReport, PhysicalPlan};
 pub use ranking::RankingModel;
 pub use safety::{SwitchDecision, SwitchPolicy};
 pub use scorer::{BlockBound, ScoreBounds, ScoreKernel, TermScorer};
 pub use scratch::QueryScratch;
-pub use text::{index_texts, tokenize, IndexBuilder};
 pub use threshold::{BoundGate, SharedThreshold};

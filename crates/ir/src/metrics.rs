@@ -1,37 +1,11 @@
 //! Retrieval effectiveness metrics.
 //!
 //! The paper reports *relative* answer-quality changes ("quality dropped
-//! more than 30%"); we provide both absolute metrics against qrels
-//! (precision, recall, average precision) and ranking-overlap metrics
-//! against a reference run (the unfragmented ranking), which is how the
-//! degradation of the unsafe strategy is quantified.
+//! more than 30%"); we provide average precision against qrels and
+//! ranking overlap against a reference run (the unfragmented ranking),
+//! which is how the degradation of the unsafe strategy is quantified.
 
 use std::collections::HashSet;
-
-/// Precision at cutoff `k`: fraction of the top-`k` that is relevant.
-/// Returns `None` for `k == 0`.
-pub fn precision_at(ranking: &[u32], relevant: &HashSet<u32>, k: usize) -> Option<f64> {
-    if k == 0 {
-        return None;
-    }
-    let considered = ranking.iter().take(k);
-    let hits = considered.filter(|d| relevant.contains(d)).count();
-    Some(hits as f64 / k as f64)
-}
-
-/// Recall at cutoff `k`: fraction of the relevant set found in the top-`k`.
-/// Returns `None` when the relevant set is empty.
-pub fn recall_at(ranking: &[u32], relevant: &HashSet<u32>, k: usize) -> Option<f64> {
-    if relevant.is_empty() {
-        return None;
-    }
-    let hits = ranking
-        .iter()
-        .take(k)
-        .filter(|d| relevant.contains(d))
-        .count();
-    Some(hits as f64 / relevant.len() as f64)
-}
 
 /// (Non-interpolated) average precision of a ranking. Returns `None` when
 /// the relevant set is empty (the query is skipped, TREC-style).
@@ -80,64 +54,12 @@ pub fn overlap_at(a: &[u32], b: &[u32], k: usize) -> Option<f64> {
     Some(hits as f64 / sa.len() as f64)
 }
 
-/// Spearman footrule distance between the top-`k` of a reference ranking
-/// and another ranking, normalized to `[0, 1]` (0 = identical order).
-/// Documents missing from the other ranking are charged the maximum
-/// displacement `k`.
-pub fn footrule_at(reference: &[u32], other: &[u32], k: usize) -> Option<f64> {
-    if k == 0 {
-        return None;
-    }
-    let k = k.min(reference.len());
-    if k == 0 {
-        return None;
-    }
-    let pos_other: std::collections::HashMap<u32, usize> =
-        other.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-    let mut total = 0usize;
-    for (i, d) in reference.iter().take(k).enumerate() {
-        let displacement = match pos_other.get(d) {
-            Some(&j) => i.abs_diff(j).min(k),
-            None => k,
-        };
-        total += displacement;
-    }
-    // Maximum possible: every item displaced by k.
-    Some(total as f64 / (k * k) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn rel(ids: &[u32]) -> HashSet<u32> {
         ids.iter().copied().collect()
-    }
-
-    #[test]
-    fn precision_counts_hits_in_prefix() {
-        let ranking = vec![1, 2, 3, 4, 5];
-        let relevant = rel(&[1, 3, 9]);
-        assert_eq!(precision_at(&ranking, &relevant, 1), Some(1.0));
-        assert_eq!(precision_at(&ranking, &relevant, 2), Some(0.5));
-        assert_eq!(precision_at(&ranking, &relevant, 5), Some(0.4));
-        assert_eq!(precision_at(&ranking, &relevant, 0), None);
-    }
-
-    #[test]
-    fn precision_with_short_ranking() {
-        // k beyond the ranking length counts misses.
-        let relevant = rel(&[1]);
-        assert_eq!(precision_at(&[1], &relevant, 4), Some(0.25));
-    }
-
-    #[test]
-    fn recall_fraction_of_relevant() {
-        let ranking = vec![1, 2, 3];
-        let relevant = rel(&[1, 3, 9, 10]);
-        assert_eq!(recall_at(&ranking, &relevant, 3), Some(0.5));
-        assert_eq!(recall_at(&ranking, &relevant, 1), Some(0.25));
-        assert_eq!(recall_at(&ranking, &rel(&[]), 3), None);
     }
 
     #[test]
@@ -190,27 +112,5 @@ mod tests {
         assert_eq!(overlap_at(&[], &a, 20), None);
         // And a disjoint other ranking scores 0.
         assert_eq!(overlap_at(&a, &[1, 2], 20), Some(0.0));
-    }
-
-    #[test]
-    fn footrule_zero_for_identical() {
-        let a = vec![1, 2, 3, 4, 5];
-        assert_eq!(footrule_at(&a, &a, 5), Some(0.0));
-    }
-
-    #[test]
-    fn footrule_max_for_disjoint() {
-        let a = vec![1, 2, 3];
-        let b = vec![7, 8, 9];
-        assert_eq!(footrule_at(&a, &b, 3), Some(1.0));
-    }
-
-    #[test]
-    fn footrule_partial_displacement() {
-        let a = vec![1, 2];
-        let b = vec![2, 1];
-        // Each displaced by 1; max = 2·2 = 4 → 2/4.
-        assert_eq!(footrule_at(&a, &b, 2), Some(0.5));
-        assert_eq!(footrule_at(&a, &b, 0), None);
     }
 }

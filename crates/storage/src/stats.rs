@@ -84,16 +84,10 @@ impl EquiWidthHistogram {
             return 0.0;
         }
         let ge_lo = self.estimate_count_ge(lo);
-        let gt_hi = self.estimate_count_ge(hi) - self.estimate_count_at(hi);
+        // `>= hi` counts as `> hi`: a single point carries no mass under the
+        // uniform-spread assumption.
+        let gt_hi = self.estimate_count_ge(hi);
         ((ge_lo - gt_hi) / self.total as f64).clamp(0.0, 1.0)
-    }
-
-    fn estimate_count_at(&self, x: f64) -> f64 {
-        // Density at x: bucket count / bucket capacity of distinct positions.
-        if x < self.min || x > self.max || self.total == 0 {
-            return 0.0;
-        }
-        0.0 // treat point mass as negligible under the uniform assumption
     }
 
     /// Smallest cutoff `c` such that the estimated number of values `>= c`
