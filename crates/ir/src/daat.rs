@@ -23,6 +23,36 @@
 //! 3. a document whose bound cannot enter the heap is abandoned before
 //!    any weight of it is computed (`bound_exits`).
 //!
+//! Before either phase, the **seed pass** looks for a starting threshold,
+//! so the query need not start at −∞. It is the paper's No-Random-Access
+//! bookkeeping (a lower bound per object from the lists read so far)
+//! applied to the query's *short* runs — at most `SEED_RUN_MAX` = 512
+//! postings in the index being searched, which is the shard's own index
+//! when sharded. It runs only when the query also has a longer run, the
+//! short runs hold at least N postings, N > 0, and the model's weights
+//! cannot be negative ([`RankingModel::nonnegative_weights`]). It decodes
+//! each short run whole, weights every posting through the shared
+//! [`crate::scorer::ScoreKernel`], and merges the runs in document order,
+//! adding each document's weights in query order. That sum is the
+//! document's lower bound, and the N-th largest of them is the **seed**.
+//! The seed is offered to the gate ([`BoundGate::publish_score`]), so a
+//! peer shard prunes on it too, and kept as a local *floor* that every
+//! bound test requires (`bound >= floor`), so unsharded runs get it as
+//! well. A seeded query skips phase 1.
+//!
+//! *Why the seed is sound.* Every weight is ≥ 0, and round-to-nearest
+//! addition is monotone in both operands. A document's lower bound is
+//! its exact score's addition sequence, in the same query order, with the
+//! long terms' weights replaced by 0.0, so it is never above that score.
+//! So at least N distinct documents score at least the seed, and the
+//! global N-th score is ≥ the seed. A document of the true top-N has an
+//! upper bound ≥ its score ≥ the seed, and the floor keeps ties, so no
+//! pruning site below can drop it and answers stay bit-identical. The
+//! pass reads at most `m × 512` postings, is not deadline-polled, and is
+//! timed as part of the gate pass. Its weights are setup work: they are
+//! not counted in `postings_scanned`, so the work ledger still balances
+//! against the query's postings.
+//!
 //! The kernel runs in two phases. **Phase 1** is a plain cursor merge that
 //! fills the heap (no bound can prune while it has room). **Phase 2** — the
 //! pruned scan — is *window-at-a-time*, the set-based idea applied inside
@@ -45,6 +75,12 @@
 //!   non-essential terms at that document, then compute the exact weights,
 //!   probe the non-essential terms strongest-first, re-sum in query order
 //!   and offer the heap.
+//!
+//! Every pruning site above — the non-essential partition, the window
+//! gate, the two candidate bound tests and the probe bail-out — asks one
+//! question: can a document with this upper bound still enter the heap,
+//! reach the seed floor and pass the gate? Each test keeps ties, so the
+//! seed argument above holds at every one of them.
 //!
 //! The pruning metadata is **colocated with the storage**: each
 //! 128-posting storage block has one [`crate::scorer::BlockBound`]
@@ -77,13 +113,13 @@ use std::time::Instant;
 use moa_obs::Phase;
 use moa_topn::TopNHeap;
 
-use crate::blocks::{CursorBuf, CursorPos, TermView, MINI_LEN};
+use crate::blocks::{BlockPostingList, CursorBuf, CursorPos, TermView, MINI_LEN};
 use crate::error::Result;
 use crate::index::InvertedIndex;
 use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
 use crate::scorer::{BlockBound, ScoreBounds, ScoreKernel};
-use crate::scratch::{NeBound, QueryScratch, TermMeta};
+use crate::scratch::{NeBound, QueryScratch, SeedLanes, TermMeta};
 use crate::threshold::BoundGate;
 
 /// Document ids per window of the pruned phase. A window's lanes are
@@ -92,6 +128,12 @@ use crate::threshold::BoundGate;
 /// they stay in L2 — and 4096 ids span dozens of blocks of a frequent
 /// term, so the per-window sync is paid once per hundreds of postings.
 pub const WINDOW: usize = 4096;
+
+/// The longest run, in postings of the index being searched, that the
+/// seed pass decodes. Only a query that also has a longer run is seeded,
+/// so an all-rare query never pays for the pass, and the pass costs at
+/// most `m × SEED_RUN_MAX` weights.
+const SEED_RUN_MAX: usize = 512;
 
 /// A document-at-a-time evaluator over block-compressed posting cursors,
 /// with a per-index scoring kernel built once and reused across queries.
@@ -140,11 +182,13 @@ impl Drop for WindowLanes<'_> {
 }
 
 /// Whether a document with score upper bound `bound` could still enter
-/// the local heap (`doc` breaks ties) and the global top-N the gate
-/// tracks.
+/// the local heap (`doc` breaks ties), reach the query's seed `floor`
+/// (−∞ when unseeded) and the global top-N the gate tracks. Ties at the
+/// floor are kept: the seed is a lower bound on the N-th score, and a
+/// document scoring exactly that may still win the id tie-break.
 #[inline]
-fn can_enter(heap: &TopNHeap, gate: &BoundGate, bound: f64, doc: u32) -> bool {
-    heap.would_enter(bound, doc) && gate.admits(bound)
+fn can_enter(heap: &TopNHeap, gate: &BoundGate, floor: f64, bound: f64, doc: u32) -> bool {
+    bound >= floor && heap.would_enter(bound, doc) && gate.admits(bound)
 }
 
 /// Offer the heap's N-th score to the cross-engine gate if it rose since
@@ -241,6 +285,88 @@ fn fill_lanes(
     (pos.base + pos.idx - start, words)
 }
 
+/// The seed pass: a lower bound on the query's N-th score read from its
+/// short runs alone (see the module docs), or `None` when the pass does
+/// not apply — `n` is 0, the model can produce a negative weight, the
+/// query has no run longer than [`SEED_RUN_MAX`], its short runs hold
+/// fewer than `n` postings or fewer than `n` distinct documents. `metas`
+/// is in query order. Not deadline-polled: it reads at most
+/// `m × SEED_RUN_MAX` postings.
+fn seed_threshold(
+    kernel: &ScoreKernel,
+    blocks: &BlockPostingList,
+    metas: &[TermMeta],
+    n: usize,
+    buf: &mut CursorBuf,
+    lanes: &mut SeedLanes,
+) -> Option<f64> {
+    if n == 0 || !kernel.model().nonnegative_weights() {
+        return None;
+    }
+    let mut long = false;
+    let mut short = 0usize;
+    for meta in metas {
+        let len = blocks.view(meta.term).len();
+        if len > SEED_RUN_MAX {
+            long = true;
+        } else {
+            short += len;
+        }
+    }
+    if !long || short < n {
+        return None;
+    }
+    let SeedLanes {
+        docs,
+        weights,
+        runs,
+        sums,
+    } = lanes;
+    docs.clear();
+    weights.clear();
+    runs.clear();
+    sums.clear();
+    // Decode and weight each short run whole, one block at a time.
+    for meta in metas {
+        let view = blocks.view(meta.term);
+        if view.len() > SEED_RUN_MAX {
+            continue;
+        }
+        let start = docs.len();
+        for (b, h) in view.headers().iter().enumerate() {
+            view.decode_docs(b, buf);
+            view.decode_tfs(b, buf);
+            let len = usize::from(h.len);
+            for (&doc, &tf) in buf.docs[..len].iter().zip(&buf.tfs[..len]) {
+                docs.push(doc);
+                weights.push(kernel.weight(&meta.scorer, tf, doc));
+            }
+        }
+        runs.push((start, docs.len()));
+    }
+    // Merge the runs in document order. Each document's weights are added
+    // in query order, starting from 0.0, as its exact score is.
+    loop {
+        let next = runs.iter().filter(|r| r.0 < r.1).map(|r| docs[r.0]).min();
+        let Some(doc) = next else { break };
+        let mut sum = 0.0f64;
+        for r in runs.iter_mut() {
+            if r.0 < r.1 && docs[r.0] == doc {
+                sum += weights[r.0];
+                r.0 += 1;
+            }
+        }
+        sums.push(sum);
+    }
+    if sums.len() < n {
+        return None;
+    }
+    let (_, &mut nth, _) = sums.select_nth_unstable_by(n - 1, |a, b| b.total_cmp(a));
+    // A NaN weight poisons only its own sum; dropping a NaN seed is the
+    // sound direction, as at `SharedThreshold::offer`.
+    (!nth.is_nan()).then_some(nth)
+}
+
 impl<'a> DaatSearcher<'a> {
     /// Create an evaluator with the given ranking model, materializing the
     /// per-document norm table once.
@@ -273,6 +399,48 @@ impl<'a> DaatSearcher<'a> {
             .get_or_init(|| ScoreBounds::new(&self.kernel, self.index))
     }
 
+    /// Push one [`TermMeta`] per query term, in query order. The bound
+    /// fields come from `bounds` on the pruned path and stay zero on the
+    /// exhaustive one.
+    fn push_metas(
+        &self,
+        terms: &[u32],
+        bounds: Option<&ScoreBounds>,
+        metas: &mut Vec<TermMeta>,
+    ) -> Result<()> {
+        for (qpos, &t) in terms.iter().enumerate() {
+            let df = self.index.df(t)?;
+            let cf = self.index.cf(t)?;
+            let ((bounds_start, bounds_len), max_weight) =
+                bounds.map_or(((0, 0), 0.0), |b| (b.term_range(t), b.term_max_weight(t)));
+            metas.push(TermMeta {
+                term: t,
+                qpos: qpos as u32,
+                scorer: self.kernel.term_scorer(df, cf),
+                max_weight,
+                bounds_start,
+                bounds_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// The seed [`DaatSearcher::search_into`] starts `terms` from: a lower
+    /// bound on the N-th score, or `None` when the query runs unseeded.
+    /// Exposed for the soundness tests only.
+    #[doc(hidden)]
+    pub fn seed(&self, terms: &[u32], n: usize, scratch: &mut QueryScratch) -> Result<Option<f64>> {
+        scratch.begin(terms.len(), n);
+        let QueryScratch {
+            metas, bufs, seed, ..
+        } = scratch;
+        self.push_metas(terms, None, metas)?;
+        let blocks = self.index.blocks();
+        Ok(bufs
+            .first_mut()
+            .and_then(|buf| seed_threshold(&self.kernel, blocks, metas, n, buf, seed)))
+    }
+
     /// Evaluate a query document-at-a-time with MaxScore pruning,
     /// returning the top `n`. Bit-exact with
     /// [`DaatSearcher::search_exhaustive`]; strictly less work whenever
@@ -296,8 +464,9 @@ impl<'a> DaatSearcher<'a> {
     /// Every pruning gate additionally consults `gate` (documents whose
     /// bound falls strictly below the propagated global threshold are
     /// skipped even while the local heap still has room for them), and
-    /// the local N-th score is published back through the gate: after
-    /// every heap insertion of the phase-1 warm-up merge, then in phase 2
+    /// the local N-th score is published back through the gate: the seed
+    /// (see the module docs) before either phase, after every heap
+    /// insertion of the phase-1 warm-up merge, then in phase 2
     /// once per window sync (when it has risen) and once at the end. A
     /// peer that reads between publications sees a lower threshold and
     /// only prunes less. The *local* top-N may therefore lose tail entries
@@ -342,23 +511,21 @@ impl<'a> DaatSearcher<'a> {
             cur,
             contrib,
             prefix_bound,
+            seed,
             heap,
             phases,
             ..
         } = &mut *scratch;
 
-        for (qpos, &t) in terms.iter().enumerate() {
-            let df = self.index.df(t)?;
-            let cf = self.index.cf(t)?;
-            let (bounds_start, bounds_len) = bounds.term_range(t);
-            metas.push(TermMeta {
-                term: t,
-                qpos: qpos as u32,
-                scorer: self.kernel.term_scorer(df, cf),
-                max_weight: bounds.term_max_weight(t),
-                bounds_start,
-                bounds_len,
-            });
+        self.push_metas(terms, Some(bounds), metas)?;
+        // The seed pass reads the metas in query order, before the sort.
+        // No cursor is open yet, so it decodes through the first cursor's
+        // buffer.
+        let floor = bufs
+            .first_mut()
+            .and_then(|buf| seed_threshold(&self.kernel, blocks, metas, n, buf, seed));
+        if let Some(s) = floor {
+            gate.publish_score(s);
         }
         // Ascending bound order: the cheapest terms come first so a prefix
         // of them can be declared non-essential as the threshold rises.
@@ -388,21 +555,23 @@ impl<'a> DaatSearcher<'a> {
         contrib.resize(m, 0.0);
         phases.add(Phase::GatePass, t_gate_pass.elapsed());
 
-        let mut stats = ExecReport::default();
+        let mut stats = ExecReport {
+            seeded: usize::from(floor.is_some()),
+            ..ExecReport::default()
+        };
         let t_decode = Instant::now();
 
         // Phase 1 — warm-up merge: while the heap is not full every
         // candidate enters, so no bound bookkeeping pays off yet (the
         // partition is necessarily empty too). A plain merge fills the
-        // heap as fast as possible. With a cross-engine gate that already
-        // *carries a signal* the premise fails — a peer has published a
-        // threshold that may disqualify early documents wholesale — so
-        // the merge stops as soon as the gate lights up and the
-        // bounds-pruned scan takes over (it handles an under-full heap
-        // fine: `would_enter` admits everything until capacity, and the
-        // gate prunes off the propagated threshold from the very next
-        // window).
-        while !heap.is_full() && m > 0 && !gate.has_signal() {
+        // heap as fast as possible. With a seed, or a cross-engine gate
+        // that already *carries a signal*, the premise fails — a threshold
+        // exists that may disqualify early documents wholesale — so the
+        // merge is skipped, or stops as soon as the gate lights up, and
+        // the bounds-pruned scan takes over (it handles an under-full
+        // heap fine: `would_enter` admits everything until capacity, and
+        // the floor and the gate prune from the very next window).
+        while floor.is_none() && !heap.is_full() && m > 0 && !gate.has_signal() {
             // Deadline poll at the candidate boundary: truncation only —
             // every score already in the heap is exact.
             if gate.expired() {
@@ -437,7 +606,8 @@ impl<'a> DaatSearcher<'a> {
         phases.add(Phase::Decode, t_decode.elapsed());
 
         let t_score = Instant::now();
-        self.pruned_windows::<W>(scratch, gate, &mut stats, &mut on_sync);
+        let floor = floor.unwrap_or(f64::NEG_INFINITY);
+        self.pruned_windows::<W>(scratch, gate, floor, &mut stats, &mut on_sync);
         scratch.phases.add(Phase::Score, t_score.elapsed());
 
         let t_merge = Instant::now();
@@ -449,12 +619,15 @@ impl<'a> DaatSearcher<'a> {
 
     /// Phase 2 — the bounds-pruned scan, one window of `W` document ids at
     /// a time: sync, window gate, pass 1 (lanes), pass 2 (candidates in
-    /// document order); see the module docs. Deadline expiry is observed
-    /// only at a sync, so a truncated query has evaluated whole windows.
+    /// document order); see the module docs. Every bound test also
+    /// requires `bound >= floor`, the query's seed (−∞ when unseeded).
+    /// Deadline expiry is observed only at a sync, so a truncated query
+    /// has evaluated whole windows.
     fn pruned_windows<const W: usize>(
         &self,
         scratch: &mut QueryScratch,
         gate: &BoundGate,
+        floor: f64,
         stats: &mut ExecReport,
         on_sync: &mut impl FnMut(),
     ) {
@@ -479,9 +652,9 @@ impl<'a> DaatSearcher<'a> {
         } = scratch;
         let m = metas.len();
         let deadline = gate.deadline();
-        // Phase 1 published after every push, so the threshold it left is
-        // already out.
-        let mut published = heap.threshold().unwrap_or(f64::NEG_INFINITY);
+        // Phase 1 published after every push, and the seed was offered
+        // before it, so the larger of the two is already out.
+        let mut published = heap.threshold().unwrap_or(f64::NEG_INFINITY).max(floor);
         // Terms [0, first_essential) are non-essential: their cumulative
         // bound cannot enter the heap, so no document found *only* there
         // can make the top-N. Doc id 0 is the most favorable tie-break, so
@@ -499,7 +672,7 @@ impl<'a> DaatSearcher<'a> {
             }
             publish_risen(heap, gate, &mut published);
             while first_essential < m
-                && !can_enter(heap, gate, prefix_bound[first_essential + 1], 0)
+                && !can_enter(heap, gate, floor, prefix_bound[first_essential + 1], 0)
             {
                 first_essential += 1;
             }
@@ -527,7 +700,7 @@ impl<'a> DaatSearcher<'a> {
                     bound += window_max(&view, bb, pos[i].block, win.end);
                 }
             }
-            if !can_enter(heap, gate, bound, win.lo) {
+            if !can_enter(heap, gate, floor, bound, win.lo) {
                 stats.bound_exits += 1;
                 for i in fe..m {
                     if cur[i] < win.end {
@@ -599,7 +772,7 @@ impl<'a> DaatSearcher<'a> {
                     // The global non-essential bound first: shallow maxima
                     // are never larger, so a document it rejects needs no
                     // shallow search.
-                    if fe > 0 && !can_enter(heap, gate, local + prefix_bound[fe], doc) {
+                    if fe > 0 && !can_enter(heap, gate, floor, local + prefix_bound[fe], doc) {
                         stats.bound_exits += 1;
                         continue;
                     }
@@ -613,7 +786,7 @@ impl<'a> DaatSearcher<'a> {
                         ne_total += bb.get(*k).map_or(0.0, |b| b.max_score);
                         ne[j].prefix = ne_total;
                     }
-                    if !can_enter(heap, gate, local + ne_total, doc) {
+                    if !can_enter(heap, gate, floor, local + ne_total, doc) {
                         stats.bound_exits += 1;
                         continue;
                     }
@@ -649,7 +822,7 @@ impl<'a> DaatSearcher<'a> {
                     let mut completed = true;
                     for j in (0..fe).rev() {
                         let rest = partial + ne[j].prefix;
-                        if !can_enter(heap, gate, rest, doc) {
+                        if !can_enter(heap, gate, floor, rest, doc) {
                             stats.bound_exits += 1;
                             completed = false;
                             break;
@@ -742,18 +915,7 @@ impl<'a> DaatSearcher<'a> {
         } = scratch;
         // States stay in query order, so the addition order matches the
         // naive paths.
-        for (qpos, &t) in terms.iter().enumerate() {
-            let df = self.index.df(t)?;
-            let cf = self.index.cf(t)?;
-            metas.push(TermMeta {
-                term: t,
-                qpos: qpos as u32,
-                scorer: self.kernel.term_scorer(df, cf),
-                max_weight: 0.0,
-                bounds_start: 0,
-                bounds_len: 0,
-            });
-        }
+        self.push_metas(terms, None, metas)?;
         for i in 0..m {
             let view = blocks.view(metas[i].term);
             let p = view.start(&mut bufs[i]);
@@ -1154,6 +1316,57 @@ mod tests {
         assert!(unwound.is_err());
         assert!(bits.iter().all(|&w| w == 0));
         assert!(bound.iter().all(|&b| b == 0.0));
+    }
+
+    /// A query of the fixture's most frequent term (a run longer than
+    /// `SEED_RUN_MAX`) and its short terms of df 50–300 — a query the
+    /// seed pass serves whenever the model allows it.
+    fn short_plus_long_query(idx: &InvertedIndex) -> Vec<u32> {
+        let by_df = idx.terms_by_df_asc();
+        let long = by_df[by_df.len() - 1];
+        assert!(idx.df(long).unwrap() as usize > SEED_RUN_MAX);
+        let mut q: Vec<u32> = by_df
+            .iter()
+            .copied()
+            .filter(|&t| (50..=300).contains(&idx.df(t).unwrap()))
+            .take(3)
+            .collect();
+        assert_eq!(q.len(), 3, "the fixture has short terms");
+        q.insert(1, long);
+        q
+    }
+
+    #[test]
+    fn negative_weight_models_get_no_seed() {
+        let (idx, _) = multi_window_fixture();
+        let q = short_plus_long_query(&idx);
+        let mut scratch = QueryScratch::new();
+        for model in models() {
+            assert!(model.nonnegative_weights(), "{model:?}");
+            let daat = DaatSearcher::new(&idx, model);
+            assert!(
+                daat.seed(&q, 10, &mut scratch).unwrap().is_some(),
+                "{model:?}"
+            );
+            assert_eq!(daat.search(&q, 10).unwrap().seeded, 1, "{model:?}");
+        }
+        for model in [
+            RankingModel::Bm25 { k1: 1.2, b: 3.0 },
+            RankingModel::Bm25 { k1: -0.5, b: 0.75 },
+        ] {
+            assert!(!model.nonnegative_weights(), "{model:?}");
+            let daat = DaatSearcher::new(&idx, model);
+            for n in [1usize, 10, 100] {
+                assert_eq!(daat.seed(&q, n, &mut scratch).unwrap(), None, "{model:?}");
+                let pruned = daat.search(&q, n).unwrap();
+                assert_eq!(pruned.seeded, 0, "{model:?} n={n}");
+                assert_eq!(
+                    pruned.top,
+                    daat.search_exhaustive(&q, n).unwrap().top,
+                    "{model:?} n={n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -110,6 +110,12 @@ pub struct ExecReport {
     /// describe the work actually performed — never the work skipped by
     /// truncation.
     pub partial: bool,
+    /// Evaluations that started from a seeded threshold: 1 when the pruned
+    /// DAAT kernel's seed pass found a lower bound on the query's N-th
+    /// score before scanning, 0 otherwise. Summed by
+    /// [`ExecReport::absorb`], so a sharded or batched aggregate counts
+    /// its seeded shard-queries.
+    pub seeded: usize,
 }
 
 impl ExecReport {
@@ -130,6 +136,7 @@ impl ExecReport {
         self.bound_exits = self.bound_exits.saturating_add(other.bound_exits);
         self.candidates = self.candidates.saturating_add(other.candidates);
         self.partial |= other.partial;
+        self.seeded = self.seeded.saturating_add(other.seeded);
     }
 }
 
@@ -143,6 +150,7 @@ impl From<FragSearchReport> for ExecReport {
             bound_exits: r.bound_exits,
             candidates: r.candidates,
             partial: r.timed_out,
+            seeded: 0,
         }
     }
 }
@@ -463,6 +471,7 @@ mod tests {
             bound_exits: 1,
             candidates: 4,
             partial: false,
+            seeded: 1,
         };
         total.absorb(&a);
         total.absorb(&a);
@@ -471,6 +480,7 @@ mod tests {
         assert_eq!(total.seeks, 4);
         assert_eq!(total.bound_exits, 2);
         assert_eq!(total.candidates, 8);
+        assert_eq!(total.seeded, 2);
         assert!(total.top.is_empty(), "absorb must not merge rankings");
         assert!(!total.partial);
         let p = ExecReport {

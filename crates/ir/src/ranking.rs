@@ -74,6 +74,23 @@ impl RankingModel {
         }
     }
 
+    /// Whether every posting weight this model produces is ≥ 0, whatever
+    /// the term and document. TF-IDF (`idf = ln(N/df) ≥ 0`) and Hiemstra
+    /// (`ln(1 + x)` with `x > 0`) always qualify. BM25 qualifies when
+    /// `k1 ≥ 0` and `0 ≤ b ≤ 1`: its norm `k1·(1 − b + b·dl/avgdl)` is
+    /// then never negative, so neither is `tf·(k1+1) / (tf + norm)`.
+    /// Outside that range the norm goes negative for short documents
+    /// (`b > 1`) or for every document (`k1 < 0`), and once it is below
+    /// `−tf` the weight is negative. The pruned kernel's seed (a lower
+    /// bound built by leaving terms out of a sum) is sound only for
+    /// models where this holds.
+    pub fn nonnegative_weights(&self) -> bool {
+        match *self {
+            RankingModel::TfIdf | RankingModel::HiemstraLm { .. } => true,
+            RankingModel::Bm25 { k1, b } => k1 >= 0.0 && (0.0..=1.0).contains(&b),
+        }
+    }
+
     /// An upper bound on the contribution any single posting of this term
     /// can make, given the term's maximum within-document tf. Used by the
     /// fragmentation safety check to bound what fragment B could add.

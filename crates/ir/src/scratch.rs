@@ -66,6 +66,21 @@ pub(crate) struct NeBound {
     pub prefix: f64,
 }
 
+/// The seed pass's buffers (see the `daat` module docs): the query's short
+/// runs decoded and weighted whole, and the per-document lower bounds
+/// their merge produces.
+#[derive(Debug, Default)]
+pub(crate) struct SeedLanes {
+    /// Every short run's document ids, run after run in query order.
+    pub docs: Vec<u32>,
+    /// The weight of each posting in `docs`, at the same index.
+    pub weights: Vec<f64>,
+    /// Per short run, its merge head and its end in `docs`.
+    pub runs: Vec<(usize, usize)>,
+    /// One lower bound per distinct document of the short runs.
+    pub sums: Vec<f64>,
+}
+
 /// The reusable query-execution arena. See the module docs.
 #[derive(Debug)]
 pub struct QueryScratch {
@@ -97,6 +112,9 @@ pub struct QueryScratch {
     /// bounds. All zero between windows: the scoring pass takes every slot
     /// it reads.
     pub(crate) lane_bound: Vec<f64>,
+    /// The seed pass's buffers; they grow to the largest short-run volume
+    /// seen and stay.
+    pub(crate) seed: SeedLanes,
     /// The reusable top-N heap ([`TopNHeap::reset`] per query).
     pub(crate) heap: TopNHeap,
     /// The current query's results, best first — filled by the `_into`
@@ -132,6 +150,7 @@ impl QueryScratch {
             lane_tf: Vec::new(),
             lane_bits: Vec::new(),
             lane_bound: Vec::new(),
+            seed: SeedLanes::default(),
             heap: TopNHeap::new(0),
             out: Vec::new(),
             phases: PhaseAgg::new(),

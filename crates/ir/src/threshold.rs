@@ -24,16 +24,19 @@
 //! `fetch_max` would freeze the threshold at an unsound maximum and prune
 //! every document on every shard.
 //!
-//! Effectiveness is a matter of *schedule*, not of the protocol: a
-//! threshold only prunes a shard that starts (or syncs) after a peer has
-//! finished the query or published a good N-th score. Shards that start
-//! the same query at the same moment each read −∞ and prune on nothing
-//! but their own heaps until a peer's publication lands. Sequential
-//! execution (shard 0, then shard 1) hands every later shard a finished
-//! threshold; the `moa_serve` worker pool gets the same effect under
-//! concurrency by staggering each worker's batch column, so every query
-//! has one leader shard that runs first and followers that meet it
-//! later. Soundness holds under any interleaving either way.
+//! Effectiveness is a matter of *schedule* and of *seeds*, not of the
+//! protocol: a threshold only prunes a shard that starts (or syncs) after
+//! a peer has published a good N-th score. A shard whose query has both
+//! short and long runs publishes one before it scans: the pruned DAAT
+//! kernel's seed, a lower bound on the N-th score read from the short
+//! runs (see [`crate::daat`]). Shards that start an unseeded query at
+//! the same moment each read −∞ and prune on nothing but their own heaps
+//! until a peer's publication lands. Sequential execution (shard 0, then
+//! shard 1) hands every later shard a finished threshold; the
+//! `moa_serve` worker pool gets the same effect under concurrency by
+//! staggering each worker's batch column, so every query has one leader
+//! shard that runs first and followers that meet it later. Soundness
+//! holds under any interleaving either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,9 +173,10 @@ impl BoundGate {
     }
 
     /// Whether the gate currently carries a finite threshold — i.e. some
-    /// engine has already published a full heap. Until then, bound
-    /// computations against the gate cannot prune anything, so evaluators
-    /// may stay on their cheap warm-up paths.
+    /// engine has already published a full heap's N-th score or a seed (a
+    /// proven lower bound on it, offered before that engine scanned).
+    /// Until then, bound computations against the gate cannot prune
+    /// anything, so evaluators may stay on their cheap warm-up paths.
     #[inline]
     pub fn has_signal(&self) -> bool {
         match &self.shared {

@@ -226,3 +226,64 @@ fn multi_window_queries_allocate_nothing_once_the_lanes_have_grown() {
     );
     assert!(checksum > 0);
 }
+
+#[test]
+fn seeded_queries_allocate_nothing_once_the_seed_buffers_have_grown() {
+    // One run longer than the seed pass's 512-posting cap and short runs
+    // of 50–300 postings: the kernel decodes and merges the short runs
+    // into the arena's seed buffers before it scans.
+    let collection = Collection::generate(CollectionConfig::small()).expect("valid preset");
+    let index = InvertedIndex::from_collection(&collection);
+    let by_df = index.terms_by_df_asc();
+    let df = |t: u32| index.df(t).expect("term in vocabulary");
+    let long = by_df[by_df.len() - 1];
+    assert!(df(long) > 512);
+    let short: Vec<u32> = by_df
+        .iter()
+        .copied()
+        .filter(|&t| (50..=300).contains(&df(t)))
+        .take(5)
+        .collect();
+    assert_eq!(short.len(), 5);
+    let queries: Vec<Vec<u32>> = vec![
+        vec![short[0], long, short[1]],
+        vec![long, short[2], short[3], short[4]],
+        vec![short[1], short[0], long, short[1]],
+    ];
+    let gate = BoundGate::none();
+    let mut scratch = QueryScratch::new();
+    for model in [
+        RankingModel::default(),
+        RankingModel::Bm25 { k1: 1.2, b: 0.75 },
+    ] {
+        let daat = DaatSearcher::new(&index, model);
+        for q in &queries {
+            for n in [1usize, 10, 100] {
+                let _ = daat
+                    .search_into(q, n, &gate, &mut scratch)
+                    .expect("valid query");
+            }
+        }
+        let before = allocations();
+        let mut seeded = 0usize;
+        for _ in 0..5 {
+            for q in &queries {
+                for n in [1usize, 10, 100] {
+                    let stats = daat
+                        .search_into(q, n, &gate, &mut scratch)
+                        .expect("valid query");
+                    seeded += stats.seeded;
+                }
+            }
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{model:?}: seeded queries allocated in steady state"
+        );
+        assert!(
+            seeded >= 5 * 2 * queries.len(),
+            "{model:?}: only {seeded} seeded"
+        );
+    }
+}

@@ -251,6 +251,9 @@ struct WorkerTelemetry {
     /// from the shard planner's plan memo instead of a full alternative
     /// walk.
     memo_hits: Arc<Counter>,
+    /// `serve.threshold_seeded`: executions whose threshold started from
+    /// the pruned kernel's seed rather than at −∞.
+    seeded: Arc<Counter>,
     /// `serve.query_ns`: per-shard query wall time.
     query_ns: Arc<Histogram>,
     /// `serve.queue_wait_ns`: admission-to-pickup wait per batch job.
@@ -287,6 +290,9 @@ impl WorkerTelemetry {
             }
             if o.memo_hit {
                 self.memo_hits.incr();
+            }
+            if o.report.seeded > 0 {
+                self.seeded.add(o.report.seeded as u64);
             }
             if self.enabled {
                 let mut trace = QueryTrace::new(seq, qi as u32, id as u32);
@@ -769,6 +775,7 @@ impl ShardPool {
                     queries: registry.counter("serve.shard_queries"),
                     partials: registry.counter("serve.shard_partial"),
                     memo_hits: registry.counter("serve.plan_memo_hits"),
+                    seeded: registry.counter("serve.threshold_seeded"),
                     query_ns: registry.histogram("serve.query_ns"),
                     queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
                     ring: Mutex::new(TraceRing::with_capacity(config.trace_ring)),

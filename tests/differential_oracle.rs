@@ -1152,4 +1152,60 @@ fn exact_ties_on_the_n_boundary_survive_every_bound_test() {
             }
         }
     }
+
+    // A short-plus-long query whose seed is exactly the N-th score. Term
+    // 0's run (docs 0..1405) is longer than the seed pass reads; term 1's
+    // (docs 1400..1700) is short. Every posting has tf 1 and every
+    // document length 4, so all of term 1's postings weigh the same. Docs
+    // 1400..1405 hold both terms; at N = 10 the seed is term 1's weight,
+    // the 10th score equals it, and so does the 11th. Past doc 1404 term
+    // 0 has no block left, so docs 1405..1410 reach the seed with a bound
+    // equal to it: a floor test that drops ties loses them.
+    let mut postings: Vec<(u32, u32, u32)> = (0..1405).map(|d| (0, d, 1)).collect();
+    postings.extend((1400..1700).map(|d| (1, d, 1)));
+    let index = Arc::new(
+        InvertedIndex::from_sorted_postings(2, vec![4; 1700], &postings)
+            .expect("sorted, in-range postings"),
+    );
+    let frag = Arc::new(
+        FragmentedIndex::build(Arc::clone(&index), FragmentSpec::TermFraction(0.9))
+            .expect("non-empty collection"),
+    );
+    let n = 10;
+    for model in models {
+        let daat = DaatSearcher::new(&index, model);
+        let mut engines = EngineSet::new(Arc::clone(&frag), model, SwitchPolicy::default());
+        for q in [[0u32, 1], [1, 0]] {
+            let want = daat
+                .search_exhaustive(&q, n + 1)
+                .expect("in-vocabulary query")
+                .top;
+            let seed = daat
+                .seed(&q, n, &mut moa_ir::QueryScratch::new())
+                .expect("in-vocabulary query")
+                .expect("a short run and a long one: seeded");
+            assert_eq!(seed.to_bits(), want[n - 1].1.to_bits(), "{model:?} {q:?}");
+            assert_eq!(seed.to_bits(), want[n].1.to_bits(), "{model:?} {q:?}");
+            let got = engines
+                .execute(PhysicalPlan::PrunedDaat, &q, n)
+                .expect("in-vocabulary query");
+            assert_eq!(got.seeded, 1, "{model:?} {q:?}");
+            assert_eq!(got.top, want[..n], "{model:?} {q:?}: seeded pruned DAAT");
+            // Shard 1 (docs 850..1700) holds 555 postings of term 0 and
+            // all of term 1, so it is seeded the same way.
+            let got = ShardedEngine::build(
+                Arc::clone(&index),
+                ShardSpec::Range { shards: 2 },
+                FragmentSpec::TermFraction(0.9),
+                model,
+                SwitchPolicy::default(),
+                None,
+            )
+            .expect("collection shards cleanly")
+            .execute(&q, n, ServeMode::Fixed(PhysicalPlan::PrunedDaat), true)
+            .expect("in-vocabulary query");
+            assert_eq!(got.work.seeded, 1, "{model:?} {q:?}");
+            assert_eq!(got.top, want[..n], "{model:?} {q:?}: 2 range shards");
+        }
+    }
 }

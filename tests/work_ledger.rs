@@ -5,10 +5,15 @@
 //! summed `postings_scanned`, `docs_skipped`, `seeks`, `bound_exits` and
 //! `candidates` of its 16 queries, how many of them came back partial,
 //! and an FNV-1a digest over `(doc, score bits)` of every answer. The
-//! paths are `EngineSet::execute` for six physical plans and the
-//! in-thread sharded schedule (`ShardedEngine::execute_batch_sequential`,
-//! 2 range shards, planned, propagation on), so a change that moves any
-//! counter or answer of any of them fails here with the lines that moved.
+//! paths are `EngineSet::execute` for six physical plans, the pruned
+//! kernel started from the exact N-th score (`pruned_daat_oracle`: a gate
+//! first offered the exhaustive answer's N-th score), and the in-thread
+//! sharded schedule (`ShardedEngine::execute_batch_sequential`, 2 range
+//! shards, planned, propagation on), so a change that moves any counter
+//! or answer of any of them fails here with the lines that moved. The
+//! last lines pin, per N, the pruned kernel's postings against the
+//! oracle-started kernel's: the work a better starting threshold could
+//! still save.
 //! The two `frag_*_indexed` plans read a fragment through its sparse
 //! index, built at the serving block size, so their lines pin
 //! `SparseIndex` lookups.
@@ -26,8 +31,8 @@ use std::sync::Arc;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
 use moa_ir::{
-    EngineSet, ExecReport, FragmentSpec, FragmentedIndex, InvertedIndex, PhysicalPlan,
-    RankingModel, Strategy, SwitchPolicy,
+    BoundGate, EngineSet, ExecReport, FragmentSpec, FragmentedIndex, InvertedIndex, PhysicalPlan,
+    RankingModel, SharedThreshold, Strategy, SwitchPolicy,
 };
 use moa_serve::{BatchQuery, ServeMode, ShardSpec, ShardedEngine};
 
@@ -120,6 +125,8 @@ fn ledger() -> String {
     frag.set_sparse_block_b(1024).expect("positive block size");
     let frag = Arc::new(frag);
     let mut out = String::new();
+    // Per depth, postings scanned by `pruned_daat` and `pruned_daat_oracle`.
+    let mut regret = [(0usize, 0usize); DEPTHS.len()];
     for (class, bias) in classes() {
         let queries: Vec<Query> = generate_queries(
             &collection,
@@ -133,7 +140,7 @@ fn ledger() -> String {
         .expect("valid workload");
         for (model_name, model) in models() {
             let mut engines = EngineSet::new(Arc::clone(&frag), model, SwitchPolicy::default());
-            for n in DEPTHS {
+            for (d, n) in DEPTHS.into_iter().enumerate() {
                 for plan in PLANS {
                     let mut cell = Cell::new();
                     for q in &queries {
@@ -142,8 +149,32 @@ fn ledger() -> String {
                             .expect("generated terms are in the vocabulary");
                         cell.fold(&report, &report.top);
                     }
+                    if plan == PhysicalPlan::PrunedDaat {
+                        regret[d].0 += cell.work.postings_scanned;
+                    }
                     cell.line(&mut out, class, model_name, n, plan.name());
                 }
+                let mut cell = Cell::new();
+                for q in &queries {
+                    let exact = engines
+                        .execute(PhysicalPlan::ExhaustiveDaat, &q.terms, n)
+                        .expect("generated terms are in the vocabulary");
+                    let threshold = Arc::new(SharedThreshold::new());
+                    if let Some(&(_, nth)) = exact.top.get(n - 1) {
+                        threshold.offer(nth);
+                    }
+                    let report = engines
+                        .execute_gated(
+                            PhysicalPlan::PrunedDaat,
+                            &q.terms,
+                            n,
+                            &BoundGate::shared(threshold),
+                        )
+                        .expect("generated terms are in the vocabulary");
+                    cell.fold(&report, &report.top);
+                }
+                regret[d].1 += cell.work.postings_scanned;
+                cell.line(&mut out, class, model_name, n, "pruned_daat_oracle");
                 // A fresh sharded engine per cell, so planner calibration
                 // never carries from one cell into the next.
                 let mut sharded = ShardedEngine::build(
@@ -172,6 +203,13 @@ fn ledger() -> String {
                 cell.line(&mut out, class, model_name, n, "sharded_planned");
             }
         }
+    }
+    for (n, (pruned, oracle)) in DEPTHS.into_iter().zip(regret) {
+        let _ = writeln!(
+            out,
+            "regret n={n} pruned_daat={pruned} pruned_daat_oracle={oracle} ratio={:.4}",
+            pruned as f64 / oracle as f64
+        );
     }
     out
 }
