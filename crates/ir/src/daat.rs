@@ -23,22 +23,43 @@
 //! 3. a document whose bound cannot enter the heap is abandoned before
 //!    any weight of it is computed (`bound_exits`).
 //!
-//! Before either phase, the **seed pass** looks for a starting threshold,
-//! so the query need not start at −∞. It is the paper's No-Random-Access
-//! bookkeeping (a lower bound per object from the lists read so far)
-//! applied to the query's *short* runs — at most `SEED_RUN_MAX` = 512
-//! postings in the index being searched, which is the shard's own index
-//! when sharded. It runs only when the query also has a longer run, the
-//! short runs hold at least N postings, N > 0, and the model's weights
-//! cannot be negative ([`RankingModel::nonnegative_weights`]). It decodes
-//! each short run whole, weights every posting through the shared
-//! [`crate::scorer::ScoreKernel`], and merges the runs in document order,
-//! adding each document's weights in query order. That sum is the
-//! document's lower bound, and the N-th largest of them is the **seed**.
-//! The seed is offered to the gate ([`BoundGate::publish_score`]), so a
-//! peer shard prunes on it too, and kept as a local *floor* that every
-//! bound test requires (`bound >= floor`), so unsharded runs get it as
-//! well. A seeded query skips phase 1.
+//! **Dispatch.** A run is *short* when it holds at most `SEED_RUN_MAX` =
+//! 512 postings in the index being searched, which is the shard's own
+//! index when sharded. [`DaatSearcher::search_into`] looks at the run
+//! lengths alone, before anything builds the bound tables: a query with
+//! N > 0, at least one term and only short runs is answered by the
+//! **short-run merge**; any other query takes the windowed kernel below,
+//! the only path that builds and reads the [`ScoreBounds`].
+//!
+//! **One merge, two uses.** The merge decodes each short run whole,
+//! weights every posting through the shared
+//! [`crate::scorer::ScoreKernel`], and walks the runs in document order,
+//! adding each document's weights in query order, starting from 0.0.
+//!
+//! * *Every run short: the answer.* The merge has then read every posting
+//!   of every query term, so each document's sum is its exact score, built
+//!   by the same addition sequence as [`DaatSearcher::search_exhaustive`]
+//!   (one weight per matching query position, in query order, from 0.0).
+//!   That holds for every model, negative weights included. Each
+//!   `(doc, sum)` enters the heap in document order, as the exhaustive
+//!   merge's do, so ties break the same way. On runs this short a bound
+//!   has nothing to prune: this is the paper's set-based side winning
+//!   where it should. The deadline is polled before the decode and at
+//!   every document; expiry truncates and leaves exact scores. The final
+//!   N-th score is published to the gate, so a peer shard still in its
+//!   windows prunes on it. Every weight counts in `postings_scanned`, and
+//!   `docs_skipped`, `seeks` and `bound_exits` stay 0.
+//! * *A run is long: the seed.* The sums are lower bounds, and the N-th
+//!   largest of them is the **seed**, a starting threshold so the query
+//!   need not start at −∞. This is the paper's No-Random-Access
+//!   bookkeeping (a lower bound per object from the lists read so far).
+//!   The seed pass runs only when the short runs hold at least N
+//!   postings, N > 0, and the model's weights cannot be negative
+//!   ([`RankingModel::nonnegative_weights`]). The seed is offered to the
+//!   gate ([`BoundGate::publish_score`]), so a peer shard prunes on it
+//!   too, and kept as a local *floor* that every bound test requires
+//!   (`bound >= floor`), so unsharded runs get it as well. A seeded query
+//!   skips phase 1.
 //!
 //! *Why the seed is sound.* Every weight is ≥ 0, and round-to-nearest
 //! addition is monotone in both operands. A document's lower bound is
@@ -119,7 +140,7 @@ use crate::index::InvertedIndex;
 use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
 use crate::scorer::{BlockBound, ScoreBounds, ScoreKernel};
-use crate::scratch::{NeBound, QueryScratch, SeedLanes, TermMeta};
+use crate::scratch::{NeBound, QueryScratch, SeedLanes, ShortRuns, TermMeta};
 use crate::threshold::BoundGate;
 
 /// Document ids per window of the pruned phase. A window's lanes are
@@ -130,9 +151,9 @@ use crate::threshold::BoundGate;
 pub const WINDOW: usize = 4096;
 
 /// The longest run, in postings of the index being searched, that the
-/// seed pass decodes. Only a query that also has a longer run is seeded,
-/// so an all-rare query never pays for the pass, and the pass costs at
-/// most `m × SEED_RUN_MAX` weights.
+/// short-run merge decodes: a query whose every run is this short is
+/// answered by the merge, and one that also has a longer run is seeded
+/// from it. Either way the merge costs at most `m × SEED_RUN_MAX` weights.
 const SEED_RUN_MAX: usize = 512;
 
 /// A document-at-a-time evaluator over block-compressed posting cursors,
@@ -285,6 +306,73 @@ fn fill_lanes(
     (pos.base + pos.idx - start, words)
 }
 
+/// The merge the seed pass and the all-short path share (see the module
+/// docs). Decodes every run of `metas` of at most [`SEED_RUN_MAX`]
+/// postings whole, weighting each posting through the shared kernel, then
+/// walks the runs in document order: `visit(doc, sum)` is called once per
+/// distinct document, ascending, where `sum` adds the document's weights
+/// in query order starting from 0.0. A `visit` that returns `false` stops
+/// the walk. `metas` is in query order. Returns the postings weighted.
+fn merge_short_runs(
+    kernel: &ScoreKernel,
+    blocks: &BlockPostingList,
+    metas: &[TermMeta],
+    buf: &mut CursorBuf,
+    runs: &mut ShortRuns,
+    mut visit: impl FnMut(u32, f64) -> bool,
+) -> usize {
+    let ShortRuns {
+        docs,
+        weights,
+        heads,
+    } = runs;
+    docs.clear();
+    weights.clear();
+    heads.clear();
+    let mut weighted = 0usize;
+    // Decode and weight each short run whole, one block at a time, and
+    // close it with a sentinel no document id reaches (the cursors' own
+    // "exhausted" mark), so the walk needs no end test.
+    for meta in metas {
+        let view = blocks.view(meta.term);
+        if view.len() > SEED_RUN_MAX {
+            continue;
+        }
+        heads.push(docs.len());
+        for (b, h) in view.headers().iter().enumerate() {
+            view.decode_docs(b, buf);
+            view.decode_tfs(b, buf);
+            let len = usize::from(h.len);
+            for (&doc, &tf) in buf.docs[..len].iter().zip(&buf.tfs[..len]) {
+                docs.push(doc);
+                weights.push(kernel.weight(&meta.scorer, tf, doc));
+            }
+        }
+        weighted += view.len();
+        docs.push(u32::MAX);
+        weights.push(0.0);
+    }
+    // Merge the runs in document order. Each document's weights are added
+    // in query order, starting from 0.0, as its exact score is.
+    loop {
+        let doc = heads.iter().map(|&h| docs[h]).min().unwrap_or(u32::MAX);
+        if doc == u32::MAX {
+            break;
+        }
+        let mut sum = 0.0f64;
+        for h in heads.iter_mut() {
+            if docs[*h] == doc {
+                sum += weights[*h];
+                *h += 1;
+            }
+        }
+        if !visit(doc, sum) {
+            break;
+        }
+    }
+    weighted
+}
+
 /// The seed pass: a lower bound on the query's N-th score read from its
 /// short runs alone (see the module docs), or `None` when the pass does
 /// not apply — `n` is 0, the model can produce a negative weight, the
@@ -316,48 +404,12 @@ fn seed_threshold(
     if !long || short < n {
         return None;
     }
-    let SeedLanes {
-        docs,
-        weights,
-        runs,
-        sums,
-    } = lanes;
-    docs.clear();
-    weights.clear();
-    runs.clear();
+    let SeedLanes { runs, sums } = lanes;
     sums.clear();
-    // Decode and weight each short run whole, one block at a time.
-    for meta in metas {
-        let view = blocks.view(meta.term);
-        if view.len() > SEED_RUN_MAX {
-            continue;
-        }
-        let start = docs.len();
-        for (b, h) in view.headers().iter().enumerate() {
-            view.decode_docs(b, buf);
-            view.decode_tfs(b, buf);
-            let len = usize::from(h.len);
-            for (&doc, &tf) in buf.docs[..len].iter().zip(&buf.tfs[..len]) {
-                docs.push(doc);
-                weights.push(kernel.weight(&meta.scorer, tf, doc));
-            }
-        }
-        runs.push((start, docs.len()));
-    }
-    // Merge the runs in document order. Each document's weights are added
-    // in query order, starting from 0.0, as its exact score is.
-    loop {
-        let next = runs.iter().filter(|r| r.0 < r.1).map(|r| docs[r.0]).min();
-        let Some(doc) = next else { break };
-        let mut sum = 0.0f64;
-        for r in runs.iter_mut() {
-            if r.0 < r.1 && docs[r.0] == doc {
-                sum += weights[r.0];
-                r.0 += 1;
-            }
-        }
+    merge_short_runs(kernel, blocks, metas, buf, runs, |_, sum| {
         sums.push(sum);
-    }
+        true
+    });
     if sums.len() < n {
         return None;
     }
@@ -441,11 +493,12 @@ impl<'a> DaatSearcher<'a> {
             .and_then(|buf| seed_threshold(&self.kernel, blocks, metas, n, buf, seed)))
     }
 
-    /// Evaluate a query document-at-a-time with MaxScore pruning,
-    /// returning the top `n`. Bit-exact with
-    /// [`DaatSearcher::search_exhaustive`]; strictly less work whenever
-    /// the heap threshold disqualifies low-bound terms. Allocating
-    /// convenience wrapper over [`DaatSearcher::search_into`].
+    /// Evaluate a query document-at-a-time, returning the top `n`: by the
+    /// short-run merge when every run is short, else with MaxScore
+    /// pruning. Bit-exact with [`DaatSearcher::search_exhaustive`]; the
+    /// pruned kernel does less work whenever the heap threshold
+    /// disqualifies low-bound terms. Allocating convenience wrapper over
+    /// [`DaatSearcher::search_into`].
     pub fn search(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();
         let report = self.search_into(terms, n, &BoundGate::none(), &mut scratch)?;
@@ -455,18 +508,22 @@ impl<'a> DaatSearcher<'a> {
         })
     }
 
-    /// The MaxScore + block-max pruned kernel on a caller-owned
-    /// [`QueryScratch`]: the top `n` lands in `scratch.out` (best first)
-    /// and the counters come back in a report whose `top` is empty.
-    /// Steady-state calls (same or smaller query shape as previously seen
-    /// by this scratch) perform zero heap allocations.
+    /// The pruned DAAT kernel on a caller-owned [`QueryScratch`]: the top
+    /// `n` lands in `scratch.out` (best first) and the counters come back
+    /// in a report whose `top` is empty. Steady-state calls (same or
+    /// smaller query shape as previously seen by this scratch) perform
+    /// zero heap allocations.
     ///
-    /// Every pruning gate additionally consults `gate` (documents whose
-    /// bound falls strictly below the propagated global threshold are
-    /// skipped even while the local heap still has room for them), and
-    /// the local N-th score is published back through the gate: the seed
-    /// (see the module docs) before either phase, after every heap
-    /// insertion of the phase-1 warm-up merge, then in phase 2
+    /// A query with `n > 0`, at least one term and every run short is
+    /// answered by the short-run merge (see the module docs), which builds
+    /// no bound table, prunes nothing and publishes its final N-th score
+    /// to `gate`. Any other query runs the MaxScore + block-max windowed
+    /// kernel, where every pruning gate additionally consults `gate`
+    /// (documents whose bound falls strictly below the propagated global
+    /// threshold are skipped even while the local heap still has room for
+    /// them), and the local N-th score is published back through the
+    /// gate: the seed (see the module docs) before either phase, after
+    /// every heap insertion of the phase-1 warm-up merge, then in phase 2
     /// once per window sync (when it has risen) and once at the end. A
     /// peer that reads between publications sees a lower threshold and
     /// only prunes less. The *local* top-N may therefore lose tail entries
@@ -479,7 +536,94 @@ impl<'a> DaatSearcher<'a> {
         gate: &BoundGate,
         scratch: &mut QueryScratch,
     ) -> Result<ExecReport> {
+        // Dispatch on the run lengths alone, before anything builds the
+        // bound tables: an all-short query never needs them.
+        let mut short = n > 0 && !terms.is_empty();
+        for &t in terms {
+            short &= self.index.run_len(t)? <= SEED_RUN_MAX;
+        }
+        if short {
+            self.search_short(terms, n, gate, scratch)
+        } else {
+            self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
+        }
+    }
+
+    /// The windowed kernel alone, whatever the query's run lengths: the
+    /// entry the tests of its pruning, windows, lanes and probes call,
+    /// since [`DaatSearcher::search_into`] answers an all-short query
+    /// with the short-run merge. Exposed for the tests only.
+    #[doc(hidden)]
+    pub fn search_windowed_into(
+        &self,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+    ) -> Result<ExecReport> {
         self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
+    }
+
+    /// The all-short path: the short-run merge's sums are exact scores
+    /// and enter the heap in document order (see the module docs).
+    fn search_short(
+        &self,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+    ) -> Result<ExecReport> {
+        let t_gate_pass = Instant::now();
+        let blocks = self.index.blocks();
+        scratch.begin(terms.len(), n);
+        let QueryScratch {
+            metas,
+            bufs,
+            seed,
+            heap,
+            out,
+            phases,
+            ..
+        } = scratch;
+        self.push_metas(terms, None, metas)?;
+        phases.add(Phase::GatePass, t_gate_pass.elapsed());
+
+        // The merge decodes and scores every posting, so like the
+        // exhaustive merge it is one decode span.
+        let t_decode = Instant::now();
+        let mut partial = gate.expired();
+        let postings_scanned = if partial {
+            0
+        } else {
+            merge_short_runs(
+                &self.kernel,
+                blocks,
+                metas,
+                &mut bufs[0],
+                &mut seed.runs,
+                |doc, score| {
+                    partial = gate.expired();
+                    if !partial {
+                        heap.push(doc, score);
+                    }
+                    !partial
+                },
+            )
+        };
+        phases.add(Phase::Decode, t_decode.elapsed());
+
+        let t_merge = Instant::now();
+        gate.publish(heap);
+        let stats = ExecReport {
+            postings_scanned,
+            candidates: heap.pushes(),
+            partial,
+            short_merged: 1,
+            ..ExecReport::default()
+        };
+        heap.extract_sorted_into(out);
+        phases.add(Phase::Merge, t_merge.elapsed());
+        Ok(stats)
     }
 
     /// [`DaatSearcher::search_into`] with the phase-2 window width `W` as a
@@ -988,6 +1132,21 @@ mod tests {
         ]
     }
 
+    /// The windowed kernel at the production width, whatever the run
+    /// lengths, with the ranking in the report: `search` without the
+    /// dispatch. Every run of the tiny preset is short, so `search` would
+    /// answer its queries with the short-run merge.
+    fn windowed(daat: &DaatSearcher<'_>, terms: &[u32], n: usize) -> ExecReport {
+        let mut scratch = QueryScratch::new();
+        let report = daat
+            .search_windowed_into(terms, n, &BoundGate::none(), &mut scratch)
+            .unwrap();
+        ExecReport {
+            top: scratch.out,
+            ..report
+        }
+    }
+
     #[test]
     fn daat_matches_set_at_a_time_exactly() {
         let (c, idx) = setup();
@@ -1010,7 +1169,7 @@ mod tests {
             let daat = DaatSearcher::new(&idx, model);
             for q in queries.iter().take(12) {
                 for n in [1usize, 5, 20, idx.num_docs()] {
-                    let pruned = daat.search(&q.terms, n).unwrap();
+                    let pruned = windowed(&daat, &q.terms, n);
                     let full = daat.search_exhaustive(&q.terms, n).unwrap();
                     assert_eq!(pruned.top, full.top, "{model:?} {:?} n={n}", q.terms);
                 }
@@ -1029,10 +1188,10 @@ mod tests {
         for q in queries.iter().take(15) {
             for n in [1usize, 10] {
                 let stats = daat
-                    .search_into(&q.terms, n, &BoundGate::none(), &mut reused)
+                    .search_windowed_into(&q.terms, n, &BoundGate::none(), &mut reused)
                     .unwrap();
                 assert!(stats.top.is_empty(), "the ranking stays in the scratch");
-                let fresh = daat.search(&q.terms, n).unwrap();
+                let fresh = windowed(&daat, &q.terms, n);
                 // Every counter, `partial` and the ranking.
                 assert_eq!(
                     ExecReport {
@@ -1063,7 +1222,7 @@ mod tests {
         let queries = generate_queries(&c, &QueryConfig::default()).unwrap();
         for q in queries.iter().take(12) {
             let volume: usize = q.terms.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
-            let rep = daat.search(&q.terms, 10).unwrap();
+            let rep = windowed(&daat, &q.terms, 10);
             assert_eq!(
                 rep.postings_scanned + rep.docs_skipped,
                 volume,
@@ -1092,7 +1251,7 @@ mod tests {
         let mut full_total = 0usize;
         let mut any_pruning = false;
         for q in &queries {
-            let pruned = daat.search(&q.terms, 5).unwrap();
+            let pruned = windowed(&daat, &q.terms, 5);
             let full = daat.search_exhaustive(&q.terms, 5).unwrap();
             pruned_total += pruned.postings_scanned;
             full_total += full.postings_scanned;
@@ -1164,6 +1323,63 @@ mod tests {
         assert_eq!(rep.postings_scanned, 0);
         let volume: usize = q.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
         assert_eq!(rep.docs_skipped, volume);
+    }
+
+    /// An index of two terms over 1 000 documents: term 0 holds the first
+    /// `long` documents, term 1 every seventh document, tfs 1–3.
+    fn two_runs(long: u32) -> InvertedIndex {
+        let mut postings: Vec<(u32, u32, u32)> = (0..long).map(|d| (0, d, 1 + d % 3)).collect();
+        postings.extend((0..1_000).step_by(7).map(|d| (1, d, 1 + d % 2)));
+        InvertedIndex::from_sorted_postings(2, vec![8; 1_000], &postings).unwrap()
+    }
+
+    #[test]
+    fn all_short_queries_take_the_merge_and_a_513_run_takes_the_windows() {
+        for (long, short) in [
+            (SEED_RUN_MAX as u32, true),
+            (SEED_RUN_MAX as u32 + 1, false),
+        ] {
+            let idx = two_runs(long);
+            for model in models() {
+                let daat = DaatSearcher::new(&idx, model);
+                for (q, n) in [(vec![0, 1], 10), (vec![1, 0, 1], 1), (vec![0], 1_000)] {
+                    let volume: usize = q.iter().map(|&t| idx.run_len(t).unwrap()).sum();
+                    let rep = daat.search(&q, n).unwrap();
+                    let ctx = format!("run {long} {model:?} {q:?} n={n}");
+                    assert_eq!(rep.top, daat.search_exhaustive(&q, n).unwrap().top, "{ctx}");
+                    assert_eq!(rep.short_merged, usize::from(short), "{ctx}");
+                    if short {
+                        assert_eq!(rep.postings_scanned, volume, "{ctx}");
+                        assert_eq!(rep.docs_skipped, 0, "{ctx}");
+                        assert_eq!(rep.seeks, 0, "{ctx}");
+                        assert_eq!(rep.bound_exits, 0, "{ctx}");
+                        assert_eq!(rep.seeded, 0, "{ctx}");
+                    } else {
+                        assert_eq!(rep.postings_scanned + rep.docs_skipped, volume, "{ctx}");
+                    }
+                }
+                // Only the windows build the bound tables.
+                assert_eq!(daat.bounds.get().is_none(), short, "run {long} {model:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_expired_gate_returns_a_partial_empty_top_from_the_merge() {
+        let (_, idx) = setup();
+        let daat = DaatSearcher::new(&idx, RankingModel::default());
+        let terms = idx.terms_by_df_asc();
+        let q = vec![terms[terms.len() - 1], terms[terms.len() / 2]];
+        let deadline = Arc::new(DeadlineGate::after(Duration::from_secs(3600)));
+        deadline.force_expire();
+        let gate = BoundGate::none().with_deadline(deadline);
+        let mut scratch = QueryScratch::new();
+        let rep = daat.search_into(&q, 10, &gate, &mut scratch).unwrap();
+        assert_eq!(rep.short_merged, 1);
+        assert!(rep.partial);
+        assert!(scratch.out.is_empty());
+        assert_eq!(rep.postings_scanned, 0);
+        assert_eq!(rep.candidates, 0);
     }
 
     /// The window width of the multi-window tests: every fixture below
@@ -1241,7 +1457,7 @@ mod tests {
                     );
                     assert!(!stats.partial);
                     // The production width answers the same.
-                    assert_eq!(scratch.out, daat.search(terms, n).unwrap().top, "{ctx}");
+                    assert_eq!(scratch.out, windowed(&daat, terms, n).top, "{ctx}");
                 }
             }
         }

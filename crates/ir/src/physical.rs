@@ -116,6 +116,11 @@ pub struct ExecReport {
     /// [`ExecReport::absorb`], so a sharded or batched aggregate counts
     /// its seeded shard-queries.
     pub seeded: usize,
+    /// Evaluations the pruned DAAT kernel answered with its short-run
+    /// merge: 1 when every run of the query held at most 512 postings in
+    /// the index searched, so no bound could prune, 0 otherwise. Summed
+    /// by [`ExecReport::absorb`] like `seeded`.
+    pub short_merged: usize,
 }
 
 impl ExecReport {
@@ -137,6 +142,7 @@ impl ExecReport {
         self.candidates = self.candidates.saturating_add(other.candidates);
         self.partial |= other.partial;
         self.seeded = self.seeded.saturating_add(other.seeded);
+        self.short_merged = self.short_merged.saturating_add(other.short_merged);
     }
 }
 
@@ -151,6 +157,7 @@ impl From<FragSearchReport> for ExecReport {
             candidates: r.candidates,
             partial: r.timed_out,
             seeded: 0,
+            short_merged: 0,
         }
     }
 }
@@ -380,7 +387,7 @@ mod tests {
     use super::*;
     use crate::fragment::FragmentSpec;
     use crate::index::InvertedIndex;
-    use moa_corpus::{generate_queries, Collection, CollectionConfig, QueryConfig};
+    use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryConfig};
 
     fn engines() -> (Collection, EngineSet) {
         let c = Collection::generate(CollectionConfig::tiny())
@@ -472,6 +479,7 @@ mod tests {
             candidates: 4,
             partial: false,
             seeded: 1,
+            short_merged: 1,
         };
         total.absorb(&a);
         total.absorb(&a);
@@ -481,6 +489,7 @@ mod tests {
         assert_eq!(total.bound_exits, 2);
         assert_eq!(total.candidates, 8);
         assert_eq!(total.seeded, 2);
+        assert_eq!(total.short_merged, 2);
         assert!(total.top.is_empty(), "absorb must not merge rankings");
         assert!(!total.partial);
         let p = ExecReport {
@@ -539,6 +548,73 @@ mod tests {
                 assert_eq!(deeper, full, "{} (q={:?})", plan.name(), q.terms);
             }
         }
+    }
+
+    #[test]
+    fn bound_tables_are_built_once_and_only_for_a_long_run() {
+        // A 2 000-document corpus: its frequent terms hold runs of more
+        // than 512 postings, its rare ones do not.
+        let c = Collection::generate(CollectionConfig::small()).expect("valid preset");
+        let idx = Arc::new(InvertedIndex::from_collection(&c));
+        let frag = FragmentedIndex::build(Arc::clone(&idx), FragmentSpec::TermFraction(0.9))
+            .expect("a generated collection is never empty");
+        let mut set = EngineSet::new(
+            Arc::new(frag),
+            RankingModel::default(),
+            SwitchPolicy::default(),
+        );
+        let long = |terms: &[u32]| terms.iter().any(|&t| idx.run_len(t).unwrap() > 512);
+        let (mut all_short, mut with_long): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+            (Vec::new(), Vec::new());
+        for bias in [DfBias::RareOnly, DfBias::TrecLike { high_df_mix: 0.5 }] {
+            let config = QueryConfig {
+                num_queries: 16,
+                bias,
+                ..QueryConfig::default()
+            };
+            for q in generate_queries(&c, &config).expect("valid workload") {
+                if long(&q.terms) {
+                    with_long.push(q.terms);
+                } else {
+                    all_short.push(q.terms);
+                }
+            }
+        }
+        assert!(all_short.len() >= 16 && with_long.len() >= 4);
+
+        // Any number of all-short queries, on every exact DAAT and
+        // accumulator path, builds no bound table.
+        for terms in &all_short {
+            for n in [1usize, 10, 1000] {
+                for plan in [
+                    PhysicalPlan::PrunedDaat,
+                    PhysicalPlan::ExhaustiveDaat,
+                    PhysicalPlan::SetAtATime,
+                ] {
+                    let rep = set.execute(plan, terms, n).expect("in-vocabulary query");
+                    let merged = usize::from(plan == PhysicalPlan::PrunedDaat);
+                    assert_eq!(rep.short_merged, merged, "{} {terms:?}", plan.name());
+                }
+                assert!(set.daat_bounds.get().is_none(), "{terms:?} n={n}");
+            }
+        }
+
+        // The first query with a long run builds them; later ones reuse
+        // that one build, which the fragmented path shares too.
+        let first = set
+            .execute(PhysicalPlan::PrunedDaat, &with_long[0], 10)
+            .expect("in-vocabulary query");
+        assert_eq!(first.short_merged, 0);
+        let built: *const ScoreBounds = set.daat_bounds.get().expect("built by the long run");
+        for terms in with_long.iter().chain(&all_short) {
+            let rep = set
+                .execute(PhysicalPlan::PrunedDaat, terms, 10)
+                .expect("in-vocabulary query");
+            assert_eq!(rep.short_merged, usize::from(!long(terms)), "{terms:?}");
+            let now: *const ScoreBounds = set.daat_bounds.get().expect("still built");
+            assert_eq!(now, built, "{terms:?} rebuilt the bound tables");
+        }
+        assert_eq!(Arc::strong_count(&set.daat_bounds), 2);
     }
 
     #[test]

@@ -66,17 +66,25 @@ pub(crate) struct NeBound {
     pub prefix: f64,
 }
 
-/// The seed pass's buffers (see the `daat` module docs): the query's short
-/// runs decoded and weighted whole, and the per-document lower bounds
-/// their merge produces.
+/// The query's short runs, decoded and weighted whole for the merge the
+/// seed pass and the all-short path share (see the `daat` module docs).
+#[derive(Debug, Default)]
+pub(crate) struct ShortRuns {
+    /// Every short run's document ids, run after run in query order, each
+    /// run closed by a `u32::MAX` sentinel.
+    pub docs: Vec<u32>,
+    /// The weight of each entry of `docs`, at the same index.
+    pub weights: Vec<f64>,
+    /// Per short run, its merge head in `docs`.
+    pub heads: Vec<usize>,
+}
+
+/// The short-run merge's buffers: the decoded runs, and the seed pass's
+/// per-document lower bounds.
 #[derive(Debug, Default)]
 pub(crate) struct SeedLanes {
-    /// Every short run's document ids, run after run in query order.
-    pub docs: Vec<u32>,
-    /// The weight of each posting in `docs`, at the same index.
-    pub weights: Vec<f64>,
-    /// Per short run, its merge head and its end in `docs`.
-    pub runs: Vec<(usize, usize)>,
+    /// The short runs the merge walks.
+    pub runs: ShortRuns,
     /// One lower bound per distinct document of the short runs.
     pub sums: Vec<f64>,
 }
@@ -112,8 +120,8 @@ pub struct QueryScratch {
     /// bounds. All zero between windows: the scoring pass takes every slot
     /// it reads.
     pub(crate) lane_bound: Vec<f64>,
-    /// The seed pass's buffers; they grow to the largest short-run volume
-    /// seen and stay.
+    /// The short-run merge's buffers; they grow to the largest short-run
+    /// volume seen and stay.
     pub(crate) seed: SeedLanes,
     /// The reusable top-N heap ([`TopNHeap::reset`] per query).
     pub(crate) heap: TopNHeap,

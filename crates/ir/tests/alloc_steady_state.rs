@@ -1,14 +1,17 @@
 //! Counting-allocator proof of the zero-allocation steady state.
 //!
-//! The block-layout PR's contract: once a [`QueryScratch`] has served one
-//! query of a given shape, every further query through
+//! The arena's contract: once a [`QueryScratch`] has served one query of
+//! a given shape, every further query through
 //! [`DaatSearcher::search_into`] / [`DaatSearcher::search_exhaustive_into`]
 //! performs **zero heap allocations** — cursor decode buffers, bound work
-//! lists, the top-N heap, and the result vector are all reused arena
-//! state. A `#[global_allocator]` wrapper counts every allocation and
+//! lists, the short-run merge's buffers, the top-N heap, and the result
+//! vector are all reused arena state. A `#[global_allocator]` wrapper counts every allocation and
 //! reallocation; the steady-state phase must leave the counter untouched.
 //! The pruned kernel's window lanes are arena state too: they grow on the
-//! first window a query shape decodes and are kept.
+//! first window a query shape decodes and are kept. The tests of the
+//! windowed kernel call it directly (`search_windowed_into`), since the
+//! tiny preset's runs are all short and `search_into` answers those with
+//! the short-run merge.
 //!
 //! (This is an integration test so the counting allocator owns the whole
 //! test binary; unit tests in the crate keep the system allocator.)
@@ -90,7 +93,7 @@ fn steady_state_queries_allocate_nothing() {
     let mut expected: Vec<Vec<(u32, f64)>> = Vec::new();
     for q in &queries {
         let _ = daat
-            .search_into(&q.terms, n, &gate, &mut scratch)
+            .search_windowed_into(&q.terms, n, &gate, &mut scratch)
             .expect("valid query");
         let _ = daat
             .search_exhaustive_into(&q.terms, n, &gate, &mut scratch)
@@ -105,7 +108,7 @@ fn steady_state_queries_allocate_nothing() {
     for _ in 0..5 {
         for q in &queries {
             let stats = daat
-                .search_into(&q.terms, n, &gate, &mut scratch)
+                .search_windowed_into(&q.terms, n, &gate, &mut scratch)
                 .expect("valid query");
             checksum += stats.postings_scanned + scratch.out.len();
             let stats = daat
@@ -153,7 +156,7 @@ fn shrinking_and_regrowing_queries_stay_allocation_free_once_seen() {
 
     // Warm with the widest shape and the largest N the test will use.
     let _ = daat
-        .search_into(&widest, 20, &gate, &mut scratch)
+        .search_windowed_into(&widest, 20, &gate, &mut scratch)
         .expect("valid query");
 
     // Narrower queries and smaller N fit inside the warmed arena.
@@ -161,7 +164,7 @@ fn shrinking_and_regrowing_queries_stay_allocation_free_once_seen() {
     for w in 1..=widest.len() {
         for n in [1usize, 5, 20] {
             let _ = daat
-                .search_into(&widest[..w], n, &gate, &mut scratch)
+                .search_windowed_into(&widest[..w], n, &gate, &mut scratch)
                 .expect("valid query");
         }
     }
@@ -196,7 +199,7 @@ fn multi_window_queries_allocate_nothing_once_the_lanes_have_grown() {
     assert_eq!(lanes, 0, "a fresh arena holds no lanes");
     for &w in &shapes {
         let _ = daat
-            .search_into(&widest[..w], 100, &gate, &mut scratch)
+            .search_windowed_into(&widest[..w], 100, &gate, &mut scratch)
             .expect("valid query");
         assert!(
             scratch.lane_bytes() >= lanes,
@@ -213,7 +216,7 @@ fn multi_window_queries_allocate_nothing_once_the_lanes_have_grown() {
     for &w in &shapes {
         for n in [1usize, 10, 100] {
             let stats = daat
-                .search_into(&widest[..w], n, &gate, &mut scratch)
+                .search_windowed_into(&widest[..w], n, &gate, &mut scratch)
                 .expect("valid query");
             checksum += stats.postings_scanned + scratch.out.len();
             assert_eq!(scratch.lane_bytes(), lanes);
@@ -284,6 +287,62 @@ fn seeded_queries_allocate_nothing_once_the_seed_buffers_have_grown() {
         assert!(
             seeded >= 5 * 2 * queries.len(),
             "{model:?}: only {seeded} seeded"
+        );
+    }
+}
+
+#[test]
+fn all_short_queries_allocate_nothing_once_the_merge_buffers_have_grown() {
+    // The tiny preset's runs are all at most 512 postings, so every query
+    // is answered by the short-run merge, which never builds the bound
+    // tables.
+    let collection = Collection::generate(CollectionConfig::tiny()).expect("valid preset");
+    let index = InvertedIndex::from_collection(&collection);
+    let queries = generate_queries(
+        &collection,
+        &QueryConfig {
+            num_queries: 12,
+            bias: DfBias::TrecLike { high_df_mix: 0.5 },
+            seed: 0x5407,
+            ..QueryConfig::default()
+        },
+    )
+    .expect("valid workload");
+    let gate = BoundGate::none();
+    let mut scratch = QueryScratch::new();
+    for model in [
+        RankingModel::default(),
+        RankingModel::Bm25 { k1: 1.2, b: 0.75 },
+    ] {
+        let daat = DaatSearcher::new(&index, model);
+        for q in &queries {
+            for n in [1usize, 10, 100] {
+                let _ = daat
+                    .search_into(&q.terms, n, &gate, &mut scratch)
+                    .expect("valid query");
+            }
+        }
+        let before = allocations();
+        let mut merged = 0usize;
+        for _ in 0..5 {
+            for q in &queries {
+                for n in [1usize, 10, 100] {
+                    let stats = daat
+                        .search_into(&q.terms, n, &gate, &mut scratch)
+                        .expect("valid query");
+                    merged += stats.short_merged;
+                }
+            }
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{model:?}: all-short queries allocated in steady state"
+        );
+        assert_eq!(
+            merged,
+            5 * 3 * queries.len(),
+            "{model:?}: only {merged} merged"
         );
     }
 }

@@ -254,6 +254,9 @@ struct WorkerTelemetry {
     /// `serve.threshold_seeded`: executions whose threshold started from
     /// the pruned kernel's seed rather than at −∞.
     seeded: Arc<Counter>,
+    /// `serve.short_merge`: executions the pruned kernel answered with its
+    /// short-run merge, every run of the query being short.
+    short_merged: Arc<Counter>,
     /// `serve.query_ns`: per-shard query wall time.
     query_ns: Arc<Histogram>,
     /// `serve.queue_wait_ns`: admission-to-pickup wait per batch job.
@@ -293,6 +296,9 @@ impl WorkerTelemetry {
             }
             if o.report.seeded > 0 {
                 self.seeded.add(o.report.seeded as u64);
+            }
+            if o.report.short_merged > 0 {
+                self.short_merged.add(o.report.short_merged as u64);
             }
             if self.enabled {
                 let mut trace = QueryTrace::new(seq, qi as u32, id as u32);
@@ -776,6 +782,7 @@ impl ShardPool {
                     partials: registry.counter("serve.shard_partial"),
                     memo_hits: registry.counter("serve.plan_memo_hits"),
                     seeded: registry.counter("serve.threshold_seeded"),
+                    short_merged: registry.counter("serve.short_merge"),
                     query_ns: registry.histogram("serve.query_ns"),
                     queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
                     ring: Mutex::new(TraceRing::with_capacity(config.trace_ring)),

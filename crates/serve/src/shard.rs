@@ -662,32 +662,46 @@ mod tests {
 
     #[test]
     fn propagation_never_changes_answers_only_work() {
+        // Every run of the tiny preset is short, so a pinned pruned plan
+        // would answer each shard-query with the short-run merge, which
+        // reads the whole query and has nothing to prune on a peer's
+        // threshold. The shards therefore run the windowed kernel
+        // directly, one after another, as the sequential engine does.
         let (c, idx) = fixture();
         let queries = generate_queries(&c, &QueryConfig::default()).expect("valid workload");
-        let mut with = engine(&idx, ShardSpec::Range { shards: 4 });
-        let mut without = engine(&idx, ShardSpec::Range { shards: 4 });
+        let eng = engine(&idx, ShardSpec::Range { shards: 4 });
+        let searchers: Vec<moa_ir::DaatSearcher<'_>> = eng
+            .shards()
+            .iter()
+            .map(|s| moa_ir::DaatSearcher::new(s.fragments().index(), RankingModel::default()))
+            .collect();
+        let mut scratch = moa_ir::QueryScratch::new();
+        let mut run = |terms: &[u32], propagate: bool| {
+            let gate = if propagate {
+                BoundGate::shared(Arc::new(SharedThreshold::new()))
+            } else {
+                BoundGate::none()
+            };
+            let mut tops = Vec::new();
+            let mut work = ExecReport::default();
+            for daat in &searchers {
+                let report = daat
+                    .search_windowed_into(terms, 10, &gate, &mut scratch)
+                    .expect("in-vocabulary query");
+                work.absorb(&report);
+                tops.push(scratch.out.clone());
+            }
+            let lists: Vec<&[(u32, f64)]> = tops.iter().map(Vec::as_slice).collect();
+            (kway_merge_sorted(&lists, 10), work)
+        };
         let mut scanned_with = 0usize;
         let mut scanned_without = 0usize;
         for q in queries.iter().take(12) {
-            let a = with
-                .execute(
-                    &q.terms,
-                    10,
-                    ServeMode::Fixed(PhysicalPlan::PrunedDaat),
-                    true,
-                )
-                .expect("in-vocabulary query");
-            let b = without
-                .execute(
-                    &q.terms,
-                    10,
-                    ServeMode::Fixed(PhysicalPlan::PrunedDaat),
-                    false,
-                )
-                .expect("in-vocabulary query");
-            assert_eq!(a.top, b.top, "terms {:?}", q.terms);
-            scanned_with += a.work.postings_scanned;
-            scanned_without += b.work.postings_scanned;
+            let a = run(&q.terms, true);
+            let b = run(&q.terms, false);
+            assert_eq!(a.0, b.0, "terms {:?}", q.terms);
+            scanned_with += a.1.postings_scanned;
+            scanned_without += b.1.postings_scanned;
         }
         assert!(
             scanned_with <= scanned_without,

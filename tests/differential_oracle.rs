@@ -25,8 +25,8 @@ use moa_corpus::{
     FeatureLists, QueryConfig,
 };
 use moa_ir::{
-    DaatSearcher, EngineSet, FragSearcher, FragmentSpec, FragmentedIndex, InvertedIndex,
-    PhysicalPlan, RankingModel, Searcher, Strategy, SwitchPolicy,
+    BoundGate, DaatSearcher, EngineSet, ExecReport, FragSearcher, FragmentSpec, FragmentedIndex,
+    InvertedIndex, PhysicalPlan, QueryScratch, RankingModel, Searcher, Strategy, SwitchPolicy,
 };
 use moa_storage::EquiWidthHistogram;
 use moa_topn::{
@@ -528,6 +528,19 @@ fn every_engine_path_matches_the_posting_scan_oracle() {
     }
 }
 
+/// The pruned DAAT kernel's windows, whatever the run lengths, with the
+/// ranking in the report. Every run of these small collections is at most
+/// 512 postings, so `DaatSearcher::search` would answer their queries with
+/// the short-run merge instead.
+fn windowed(daat: &DaatSearcher<'_>, terms: &[u32], n: usize) -> moa_ir::Result<ExecReport> {
+    let mut scratch = QueryScratch::new();
+    let report = daat.search_windowed_into(terms, n, &BoundGate::none(), &mut scratch)?;
+    Ok(ExecReport {
+        top: scratch.out,
+        ..report
+    })
+}
+
 #[test]
 fn pruned_daat_is_bit_exact_with_the_naive_oracle_for_every_model_and_n() {
     // The MaxScore-pruned DAAT kernel must reproduce the naive full-scan
@@ -561,7 +574,7 @@ fn pruned_daat_is_bit_exact_with_the_naive_oracle_for_every_model_and_n() {
                 // N = 1, N = 10, and N >= every match (the full ranking).
                 for n in [1usize, 10, scored.len() + 7] {
                     let oracle = oracle_topn(&scored, n);
-                    let rep = daat.search(&q.terms, n).expect("pruned daat query");
+                    let rep = windowed(&daat, &q.terms, n).expect("pruned daat query");
                     assert_eq!(
                         rep.top, oracle,
                         "{label} q{qi} n={n} {model:?}: pruned DAAT != naive oracle"
@@ -603,7 +616,7 @@ fn pruned_and_exhaustive_daat_agree_bit_for_bit_on_seeded_workloads() {
         .expect("valid workload");
         for q in &queries {
             for n in [1usize, 5, 10, 50] {
-                let pruned = daat.search(&q.terms, n).expect("pruned query");
+                let pruned = windowed(&daat, &q.terms, n).expect("pruned query");
                 let full = daat
                     .search_exhaustive(&q.terms, n)
                     .expect("exhaustive query");
