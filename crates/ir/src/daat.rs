@@ -565,7 +565,10 @@ impl<'a> DaatSearcher<'a> {
     }
 
     /// The all-short path: the short-run merge's sums are exact scores
-    /// and enter the heap in document order (see the module docs).
+    /// and enter the heap in document order (see the module docs). The
+    /// exhaustive cursor merge computes the same sums, but stepping m
+    /// block cursors posting by posting is slower than decoding each run
+    /// whole and walking flat arrays (DESIGN.md gives the A/B).
     fn search_short(
         &self,
         terms: &[u32],

@@ -525,7 +525,7 @@ pub fn merge_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moa_corpus::{generate_queries, Collection, CollectionConfig, QueryConfig};
+    use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryConfig};
     use moa_ir::Strategy;
 
     fn fixture() -> (Collection, Arc<InvertedIndex>) {
@@ -703,6 +703,44 @@ mod tests {
             scanned_with += a.1.postings_scanned;
             scanned_without += b.1.postings_scanned;
         }
+        assert!(
+            scanned_with <= scanned_without,
+            "propagation increased work: {scanned_with} > {scanned_without}"
+        );
+    }
+
+    #[test]
+    fn engine_propagation_never_changes_answers_only_work() {
+        // The same property through the engine's own propagate flag and
+        // gates. The small preset's frequent terms hold runs of more than
+        // 512 postings in each of 2 shards, so frequent-term queries reach
+        // the windowed kernel, where the gates prune.
+        let c = Collection::generate(CollectionConfig::small()).expect("valid preset");
+        let idx = Arc::new(InvertedIndex::from_collection(&c));
+        let config = QueryConfig {
+            bias: DfBias::FrequentOnly,
+            ..QueryConfig::default()
+        };
+        let queries = generate_queries(&c, &config).expect("valid workload");
+        let mut with = engine(&idx, ShardSpec::Range { shards: 2 });
+        let mut without = engine(&idx, ShardSpec::Range { shards: 2 });
+        let mut scanned_with = 0usize;
+        let mut scanned_without = 0usize;
+        let mut windowed = 0usize;
+        for q in queries.iter().take(12) {
+            let mode = ServeMode::Fixed(PhysicalPlan::PrunedDaat);
+            let a = with
+                .execute(&q.terms, 10, mode, true)
+                .expect("in-vocabulary query");
+            let b = without
+                .execute(&q.terms, 10, mode, false)
+                .expect("in-vocabulary query");
+            assert_eq!(a.top, b.top, "terms {:?}", q.terms);
+            scanned_with += a.work.postings_scanned;
+            scanned_without += b.work.postings_scanned;
+            windowed += a.shards.len() - a.work.short_merged;
+        }
+        assert!(windowed > 0, "no shard-query reached the windows");
         assert!(
             scanned_with <= scanned_without,
             "propagation increased work: {scanned_with} > {scanned_without}"
