@@ -122,7 +122,10 @@ fn bench_mini_gate_refine(c: &mut Criterion) {
     // multi-term refinement over real bound tables.
     let terms = index.terms_by_df_asc();
     let hot: Vec<u32> = terms.iter().rev().take(4).copied().collect();
-    let tables: Vec<_> = hot.iter().map(|&t| bounds.term_blocks(t)).collect();
+    let tables: Vec<_> = hot
+        .iter()
+        .map(|&t| bounds.term(t).expect("a hot term's run is long").1)
+        .collect();
     let mut g = c.benchmark_group("pack_kernels");
     g.bench_function("mini_gate_refine", |b| {
         b.iter(|| {

@@ -13,8 +13,8 @@
 //! fragmentation safety check *inside* the hot loop, MaxScore-style:
 //!
 //! 1. query terms are sorted by their maximum possible contribution —
-//!    the exact per-term posting maximum the
-//!    [`crate::scorer::ScoreKernel`] precomputes at build time,
+//!    the exact per-term posting maximum (see *Where the bounds come
+//!    from* below),
 //! 2. terms whose cumulative bound cannot lift any document into the
 //!    current top-N ([`moa_topn::TopNHeap::would_enter`]) become
 //!    *non-essential*: their cursors are never merged, only `seek`-ed
@@ -31,10 +31,11 @@
 //! **short-run merge**; any other query takes the windowed kernel below,
 //! the only path that builds and reads the [`ScoreBounds`].
 //!
-//! **One merge, two uses.** The merge decodes each short run whole,
-//! weights every posting through the shared
-//! [`crate::scorer::ScoreKernel`], and walks the runs in document order,
-//! adding each document's weights in query order, starting from 0.0.
+//! **One merge, two uses.** The short-run pass decodes each short run
+//! whole and weighs every posting through the shared
+//! [`crate::scorer::ScoreKernel`]; the merge walks the weighed runs in
+//! document order, adding each document's weights in query order,
+//! starting from 0.0.
 //!
 //! * *Every run short: the answer.* The merge has then read every posting
 //!   of every query term, so each document's sum is its exact score, built
@@ -74,6 +75,23 @@
 //! not counted in `postings_scanned`, so the work ledger still balances
 //! against the query's postings.
 //!
+//! **Where the bounds come from.** The windowed kernel reads, per query
+//! term, an exact maximum weight and one [`BlockBound`] per storage
+//! block. A long run's come from the [`ScoreBounds`] table, which holds
+//! the long runs alone and is built once per index, lazily, by the first
+//! windowed query; a query finds each long term there by one binary
+//! search. A short run has no table entry: the short-run pass builds its
+//! bounds per query, from the very weights it computes for the merge,
+//! with the table's own builder (`block_bound`), so they are the same
+//! bits. One decode pass therefore feeds both the short terms' bounds and
+//! the seed. It runs for every windowed query, also when the seed does
+//! not apply (a model that can weigh below zero, or fewer than N short
+//! postings): then it builds the bounds alone, at most `m × 512` weights.
+//! It is setup work like the seed, timed in the gate pass and not counted
+//! in `postings_scanned`. Each `TermMeta` says which array holds its
+//! bounds, and every pruning site below reads them through one accessor
+//! (`TermMeta::block_bounds`).
+//!
 //! The kernel runs in two phases. **Phase 1** is a plain cursor merge that
 //! fills the heap (no bound can prune while it has room). **Phase 2** — the
 //! pruned scan — is *window-at-a-time*, the set-based idea applied inside
@@ -104,9 +122,9 @@
 //! seed argument above holds at every one of them.
 //!
 //! The pruning metadata is **colocated with the storage**: each
-//! 128-posting storage block has one [`crate::scorer::BlockBound`]
-//! (`last_doc` + exact block-max score + eight 4-bit quantized mini-block
-//! maxima) in a contiguous per-term array, so a window gate reads a few
+//! 128-posting storage block has one [`BlockBound`] (`last_doc` + exact
+//! block-max score + eight 4-bit quantized mini-block maxima) in a
+//! contiguous per-term array, so a window gate reads a few
 //! 16-byte records per term — and a rejected window's packed payload is
 //! never decoded at all. The mini-block maxima become the candidates' lane
 //! bounds, which stay discriminating on long runs where whole-block maxima
@@ -139,8 +157,8 @@ use crate::error::Result;
 use crate::index::InvertedIndex;
 use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
-use crate::scorer::{BlockBound, ScoreBounds, ScoreKernel};
-use crate::scratch::{NeBound, QueryScratch, SeedLanes, ShortRuns, TermMeta};
+use crate::scorer::{block_bound, weigh_block, BlockBound, ScoreBounds, ScoreKernel, SEED_RUN_MAX};
+use crate::scratch::{BoundsIn, NeBound, QueryScratch, SeedLanes, ShortRuns, TermMeta};
 use crate::threshold::BoundGate;
 
 /// Document ids per window of the pruned phase. A window's lanes are
@@ -150,22 +168,16 @@ use crate::threshold::BoundGate;
 /// term, so the per-window sync is paid once per hundreds of postings.
 pub const WINDOW: usize = 4096;
 
-/// The longest run, in postings of the index being searched, that the
-/// short-run merge decodes: a query whose every run is this short is
-/// answered by the merge, and one that also has a longer run is seeded
-/// from it. Either way the merge costs at most `m × SEED_RUN_MAX` weights.
-const SEED_RUN_MAX: usize = 512;
-
 /// A document-at-a-time evaluator over block-compressed posting cursors,
 /// with a per-index scoring kernel built once and reused across queries.
 #[derive(Debug)]
 pub struct DaatSearcher<'a> {
     index: &'a InvertedIndex,
     kernel: Arc<ScoreKernel>,
-    /// Per-term bound tables, built lazily on the first pruned search —
-    /// exhaustive-only users never pay the full scoring pass. Shared
-    /// (`Arc`) so the physical layer can hand out per-query searcher views
-    /// without rebuilding the tables.
+    /// The long-run bound table, built lazily by the first windowed
+    /// search — other paths never pay its scoring pass. Shared (`Arc`) so
+    /// the physical layer can hand out per-query searcher views without
+    /// rebuilding it.
     bounds: Arc<OnceLock<ScoreBounds>>,
 }
 
@@ -306,54 +318,80 @@ fn fill_lanes(
     (pos.base + pos.idx - start, words)
 }
 
-/// The merge the seed pass and the all-short path share (see the module
-/// docs). Decodes every run of `metas` of at most [`SEED_RUN_MAX`]
-/// postings whole, weighting each posting through the shared kernel, then
-/// walks the runs in document order: `visit(doc, sum)` is called once per
-/// distinct document, ascending, where `sum` adds the document's weights
-/// in query order starting from 0.0. A `visit` that returns `false` stops
-/// the walk. `metas` is in query order. Returns the postings weighted.
-fn merge_short_runs(
+/// The short-run pass (see the module docs): decodes every run of `metas`
+/// of at most [`SEED_RUN_MAX`] postings whole, weighing each posting
+/// through the shared kernel, into `runs` — run after run, each closed by
+/// a sentinel no document id reaches (the cursors' own "exhausted" mark),
+/// so the merge walk needs no end test. With `bound`, it also builds each
+/// short term's bounds into `runs.bounds` from those weights and points
+/// the term's meta there: its exact maximum weight and one
+/// [`BlockBound`] per storage block, by the builder the table uses.
+/// `metas` is in query order. Returns the postings weighed.
+fn weigh_short_runs(
     kernel: &ScoreKernel,
     blocks: &BlockPostingList,
-    metas: &[TermMeta],
+    metas: &mut [TermMeta],
     buf: &mut CursorBuf,
     runs: &mut ShortRuns,
-    mut visit: impl FnMut(u32, f64) -> bool,
+    bound: bool,
 ) -> usize {
     let ShortRuns {
         docs,
         weights,
         heads,
+        bounds,
     } = runs;
     docs.clear();
     weights.clear();
     heads.clear();
-    let mut weighted = 0usize;
-    // Decode and weight each short run whole, one block at a time, and
-    // close it with a sentinel no document id reaches (the cursors' own
-    // "exhausted" mark), so the walk needs no end test.
-    for meta in metas {
+    bounds.clear();
+    let mut weighed = 0usize;
+    for meta in metas.iter_mut() {
         let view = blocks.view(meta.term);
         if view.len() > SEED_RUN_MAX {
             continue;
         }
         heads.push(docs.len());
+        let start = bounds.len();
+        let mut max_weight = 0.0f64;
         for (b, h) in view.headers().iter().enumerate() {
-            view.decode_docs(b, buf);
-            view.decode_tfs(b, buf);
-            let len = usize::from(h.len);
-            for (&doc, &tf) in buf.docs[..len].iter().zip(&buf.tfs[..len]) {
+            let at = weights.len();
+            weigh_block(kernel, &meta.scorer, &view, b, buf, |doc, w| {
                 docs.push(doc);
-                weights.push(kernel.weight(&meta.scorer, tf, doc));
+                weights.push(w);
+            });
+            if bound {
+                let bb = block_bound(h.last_doc, &weights[at..]);
+                max_weight = max_weight.max(bb.max_score);
+                bounds.push(bb);
             }
         }
-        weighted += view.len();
+        if bound {
+            meta.max_weight = max_weight;
+            meta.bounds_start = start as u32;
+            meta.bounds_len = (bounds.len() - start) as u32;
+        }
+        weighed += view.len();
         docs.push(u32::MAX);
         weights.push(0.0);
     }
-    // Merge the runs in document order. Each document's weights are added
-    // in query order, starting from 0.0, as its exact score is.
+    weighed
+}
+
+/// The merge the seed pass and the all-short path share (see the module
+/// docs): walks the runs [`weigh_short_runs`] left in `runs` in document
+/// order. `visit(doc, sum)` is called once per distinct document,
+/// ascending, where `sum` adds the document's weights in query order
+/// starting from 0.0. A `visit` that returns `false` stops the walk.
+fn merge_short_runs(runs: &mut ShortRuns, mut visit: impl FnMut(u32, f64) -> bool) {
+    let ShortRuns {
+        docs,
+        weights,
+        heads,
+        ..
+    } = runs;
+    // Each document's weights are added in query order, starting from
+    // 0.0, as its exact score is.
     loop {
         let doc = heads.iter().map(|&h| docs[h]).min().unwrap_or(u32::MAX);
         if doc == u32::MAX {
@@ -370,22 +408,21 @@ fn merge_short_runs(
             break;
         }
     }
-    weighted
 }
 
 /// The seed pass: a lower bound on the query's N-th score read from its
 /// short runs alone (see the module docs), or `None` when the pass does
 /// not apply — `n` is 0, the model can produce a negative weight, the
 /// query has no run longer than [`SEED_RUN_MAX`], its short runs hold
-/// fewer than `n` postings or fewer than `n` distinct documents. `metas`
-/// is in query order. Not deadline-polled: it reads at most
-/// `m × SEED_RUN_MAX` postings.
+/// fewer than `n` postings or fewer than `n` distinct documents. Merges
+/// the runs [`weigh_short_runs`] left in `lanes`; `metas` is in query
+/// order. Not deadline-polled: it reads at most `m × SEED_RUN_MAX`
+/// postings.
 fn seed_threshold(
     kernel: &ScoreKernel,
     blocks: &BlockPostingList,
     metas: &[TermMeta],
     n: usize,
-    buf: &mut CursorBuf,
     lanes: &mut SeedLanes,
 ) -> Option<f64> {
     if n == 0 || !kernel.model().nonnegative_weights() {
@@ -406,7 +443,7 @@ fn seed_threshold(
     }
     let SeedLanes { runs, sums } = lanes;
     sums.clear();
-    merge_short_runs(kernel, blocks, metas, buf, runs, |_, sum| {
+    merge_short_runs(runs, |_, sum| {
         sums.push(sum);
         true
     });
@@ -451,30 +488,76 @@ impl<'a> DaatSearcher<'a> {
             .get_or_init(|| ScoreBounds::new(&self.kernel, self.index))
     }
 
-    /// Push one [`TermMeta`] per query term, in query order. The bound
-    /// fields come from `bounds` on the pruned path and stay zero on the
-    /// exhaustive one.
-    fn push_metas(
-        &self,
-        terms: &[u32],
-        bounds: Option<&ScoreBounds>,
-        metas: &mut Vec<TermMeta>,
-    ) -> Result<()> {
+    /// Push one [`TermMeta`] per query term, in query order, its bound
+    /// fields zero.
+    fn push_metas(&self, terms: &[u32], metas: &mut Vec<TermMeta>) -> Result<()> {
         for (qpos, &t) in terms.iter().enumerate() {
             let df = self.index.df(t)?;
             let cf = self.index.cf(t)?;
-            let ((bounds_start, bounds_len), max_weight) =
-                bounds.map_or(((0, 0), 0.0), |b| (b.term_range(t), b.term_max_weight(t)));
             metas.push(TermMeta {
                 term: t,
                 qpos: qpos as u32,
                 scorer: self.kernel.term_scorer(df, cf),
-                max_weight,
-                bounds_start,
-                bounds_len,
+                max_weight: 0.0,
+                bounds_in: BoundsIn::Query,
+                bounds_start: 0,
+                bounds_len: 0,
             });
         }
         Ok(())
+    }
+
+    /// Push the windowed kernel's metas, in query order, with their bounds:
+    /// a long term's from `table`, found by one binary search, a short
+    /// term's built by the short-run pass, which leaves the weighed runs in
+    /// `runs` for the seed. No cursor is open yet, so the pass decodes
+    /// through the first cursor's buffer.
+    fn bounded_metas(
+        &self,
+        terms: &[u32],
+        table: &ScoreBounds,
+        metas: &mut Vec<TermMeta>,
+        bufs: &mut [CursorBuf],
+        runs: &mut ShortRuns,
+    ) -> Result<()> {
+        self.push_metas(terms, metas)?;
+        for meta in metas.iter_mut() {
+            if let Some((max_weight, start, len)) = table.term_range(meta.term) {
+                meta.max_weight = max_weight;
+                meta.bounds_in = BoundsIn::Table;
+                meta.bounds_start = start;
+                meta.bounds_len = len;
+            }
+        }
+        if let Some(buf) = bufs.first_mut() {
+            weigh_short_runs(&self.kernel, self.index.blocks(), metas, buf, runs, true);
+        }
+        Ok(())
+    }
+
+    /// The bounds the windowed kernel reads for each term of `terms`, in
+    /// query order, as `(max weight, block bounds)`: a long run's from the
+    /// table, a short run's as the short-run pass builds them per query.
+    /// Builds the table on first use. Exposed for the bound tests only.
+    #[doc(hidden)]
+    pub fn term_bounds(
+        &self,
+        terms: &[u32],
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<(f64, Vec<BlockBound>)>> {
+        let table = self.bounds();
+        scratch.begin(terms.len(), 0);
+        let QueryScratch {
+            metas, bufs, seed, ..
+        } = scratch;
+        self.bounded_metas(terms, table, metas, bufs, &mut seed.runs)?;
+        Ok(metas
+            .iter()
+            .map(|meta| {
+                let bb = meta.block_bounds(table, &seed.runs.bounds);
+                (meta.max_weight, bb.to_vec())
+            })
+            .collect())
     }
 
     /// The seed [`DaatSearcher::search_into`] starts `terms` from: a lower
@@ -486,11 +569,12 @@ impl<'a> DaatSearcher<'a> {
         let QueryScratch {
             metas, bufs, seed, ..
         } = scratch;
-        self.push_metas(terms, None, metas)?;
+        self.push_metas(terms, metas)?;
         let blocks = self.index.blocks();
-        Ok(bufs
-            .first_mut()
-            .and_then(|buf| seed_threshold(&self.kernel, blocks, metas, n, buf, seed)))
+        if let Some(buf) = bufs.first_mut() {
+            weigh_short_runs(&self.kernel, blocks, metas, buf, &mut seed.runs, false);
+        }
+        Ok(seed_threshold(&self.kernel, blocks, metas, n, seed))
     }
 
     /// Evaluate a query document-at-a-time, returning the top `n`: by the
@@ -588,7 +672,7 @@ impl<'a> DaatSearcher<'a> {
             phases,
             ..
         } = scratch;
-        self.push_metas(terms, None, metas)?;
+        self.push_metas(terms, metas)?;
         phases.add(Phase::GatePass, t_gate_pass.elapsed());
 
         // The merge decodes and scores every posting, so like the
@@ -598,20 +682,22 @@ impl<'a> DaatSearcher<'a> {
         let postings_scanned = if partial {
             0
         } else {
-            merge_short_runs(
+            let weighed = weigh_short_runs(
                 &self.kernel,
                 blocks,
                 metas,
                 &mut bufs[0],
                 &mut seed.runs,
-                |doc, score| {
-                    partial = gate.expired();
-                    if !partial {
-                        heap.push(doc, score);
-                    }
-                    !partial
-                },
-            )
+                false,
+            );
+            merge_short_runs(&mut seed.runs, |doc, score| {
+                partial = gate.expired();
+                if !partial {
+                    heap.push(doc, score);
+                }
+                !partial
+            });
+            weighed
         };
         phases.add(Phase::Decode, t_decode.elapsed());
 
@@ -664,13 +750,10 @@ impl<'a> DaatSearcher<'a> {
             ..
         } = &mut *scratch;
 
-        self.push_metas(terms, Some(bounds), metas)?;
-        // The seed pass reads the metas in query order, before the sort.
-        // No cursor is open yet, so it decodes through the first cursor's
-        // buffer.
-        let floor = bufs
-            .first_mut()
-            .and_then(|buf| seed_threshold(&self.kernel, blocks, metas, n, buf, seed));
+        // The seed reads the metas in query order, before the sort, and
+        // merges the runs the bound pass just weighed.
+        self.bounded_metas(terms, bounds, metas, bufs, &mut seed.runs)?;
+        let floor = seed_threshold(&self.kernel, blocks, metas, n, seed);
         if let Some(s) = floor {
             gate.publish_score(s);
         }
@@ -794,9 +877,11 @@ impl<'a> DaatSearcher<'a> {
             lane_tf,
             lane_bits,
             lane_bound,
+            seed,
             heap,
             ..
         } = scratch;
+        let query_bounds = &seed.runs.bounds[..];
         let m = metas.len();
         let deadline = gate.deadline();
         // Phase 1 published after every push, and the seed was offered
@@ -842,7 +927,7 @@ impl<'a> DaatSearcher<'a> {
             let mut bound = prefix_bound[fe];
             for i in fe..m {
                 if cur[i] < win.end {
-                    let bb = bounds.slice(metas[i].bounds_start, metas[i].bounds_len);
+                    let bb = metas[i].block_bounds(bounds, query_bounds);
                     let view = blocks.view(metas[i].term);
                     bound += window_max(&view, bb, pos[i].block, win.end);
                 }
@@ -881,7 +966,7 @@ impl<'a> DaatSearcher<'a> {
                     bits: &mut lanes.bits[i * words..(i + 1) * words],
                     bound: &mut *lanes.bound,
                 };
-                let bb = bounds.slice(metas[i].bounds_start, metas[i].bounds_len);
+                let bb = metas[i].block_bounds(bounds, query_bounds);
                 let (postings, words) =
                     fill_lanes(&view, bb, &mut pos[i], &mut bufs[i], win, term_lanes);
                 consumed += postings;
@@ -895,7 +980,7 @@ impl<'a> DaatSearcher<'a> {
             // itself only moves on a probe).
             ne.clear();
             for j in 0..fe {
-                let bb = bounds.slice(metas[j].bounds_start, metas[j].bounds_len);
+                let bb = metas[j].block_bounds(bounds, query_bounds);
                 let b = pos[j].block.min(bb.len());
                 ne.push(NeBound {
                     block: b + bb[b..].partition_point(|x| x.last_doc < win.lo),
@@ -925,7 +1010,7 @@ impl<'a> DaatSearcher<'a> {
                     }
                     let mut ne_total = 0.0f64;
                     for j in 0..fe {
-                        let bb = bounds.slice(metas[j].bounds_start, metas[j].bounds_len);
+                        let bb = metas[j].block_bounds(bounds, query_bounds);
                         let k = &mut ne[j].block;
                         while *k < bb.len() && bb[*k].last_doc < doc {
                             *k += 1;
@@ -1062,7 +1147,7 @@ impl<'a> DaatSearcher<'a> {
         } = scratch;
         // States stay in query order, so the addition order matches the
         // naive paths.
-        self.push_metas(terms, None, metas)?;
+        self.push_metas(terms, metas)?;
         for i in 0..m {
             let view = blocks.view(metas[i].term);
             let p = view.start(&mut bufs[i]);

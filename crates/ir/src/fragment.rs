@@ -32,11 +32,12 @@ use moa_storage::SparseIndex;
 use moa_topn::TopNHeap;
 
 use crate::accum::EpochAccumulator;
+use crate::blocks::BLOCK_LEN;
 use crate::error::{IrError, Result};
 use crate::index::InvertedIndex;
 use crate::ranking::RankingModel;
 use crate::safety::{SwitchDecision, SwitchPolicy};
-use crate::scorer::{ScoreBounds, ScoreKernel, TermScorer};
+use crate::scorer::{block_bound, BlockBound, ScoreBounds, ScoreKernel, TermScorer, SEED_RUN_MAX};
 use crate::threshold::BoundGate;
 
 /// How the fragment boundary is chosen.
@@ -501,10 +502,14 @@ pub struct FragSearcher {
     frag: Arc<FragmentedIndex>,
     kernel: Arc<ScoreKernel>,
     policy: SwitchPolicy,
-    /// The per-term block-max bound tables, built lazily on the first
-    /// search and shared (same `Arc`) with the DAAT kernel when both run
-    /// under one [`crate::physical::EngineSet`].
+    /// The long runs' block-max bound table, built lazily by the first
+    /// bound pass with a long run and shared (same `Arc`) with the DAAT
+    /// kernel when both run under one [`crate::physical::EngineSet`].
     bound_tables: Arc<OnceLock<ScoreBounds>>,
+    /// Scratch: the current query's block bounds, distinct term after
+    /// distinct term — a short run's built per query, a long run's copied
+    /// from the table. Kept between queries.
+    query_bounds: Vec<BlockBound>,
     /// Scratch: per-document score upper bounds of the current query.
     ub_accum: EpochAccumulator,
 }
@@ -537,6 +542,7 @@ impl FragSearcher {
             kernel,
             policy,
             bound_tables,
+            query_bounds: Vec::new(),
             ub_accum: EpochAccumulator::new(n),
         }
     }
@@ -813,31 +819,56 @@ impl FragSearcher {
             });
         }
 
-        // The shared block-max bound tables — the same [`ScoreBounds`]
-        // the pruned DAAT kernel runs on, built lazily once per
-        // `(index, model)` and shared across engine paths. Bucket
-        // position i sits in storage block i / BLOCK_POSTINGS (the
-        // invariant asserted above), so that block's exact maximum
-        // bounds the posting's weight.
+        // Each distinct term's block bounds, into one buffer. A gathered
+        // bucket is the term's whole run or empty (asserted above), and an
+        // empty one is never read. A long run's bounds come from the
+        // shared table — the same [`ScoreBounds`] the pruned DAAT kernel
+        // runs on, built lazily once per `(index, model)` by the first
+        // query with a long run. A short run has no table entry: its
+        // bounds are built here, per query, from the bucket's weights by
+        // the table's own builder, so they are the same bits.
         let kernel = Arc::clone(&self.kernel);
         let bound_tables = Arc::clone(&self.bound_tables);
-        let tables = bound_tables.get_or_init(|| ScoreBounds::new(&kernel, index));
+        self.query_bounds.clear();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(distinct.len());
+        for (&t, bucket) in distinct.iter().zip(&buckets) {
+            let start = self.query_bounds.len();
+            if bucket.len() > SEED_RUN_MAX {
+                let tables = bound_tables.get_or_init(|| ScoreBounds::new(&kernel, index));
+                let (_, bb) = tables.term(t).expect("the table bounds every long run");
+                self.query_bounds.extend_from_slice(bb);
+            } else if !bucket.is_empty() {
+                let scorer = kernel.term_scorer(index.df(t)?, index.cf(t)?);
+                let mut weights = [0.0f64; BLOCK_LEN];
+                for block in bucket.chunks(BLOCK_LEN) {
+                    for (w, &(doc, tf)) in weights.iter_mut().zip(block) {
+                        *w = kernel.weight(&scorer, tf, doc);
+                    }
+                    let last_doc = block[block.len() - 1].0;
+                    self.query_bounds
+                        .push(block_bound(last_doc, &weights[..block.len()]));
+                }
+            }
+            spans.push((start, self.query_bounds.len()));
+        }
 
         // Bound pass: accumulate each touched document's score upper bound
         // position by position from the quantized mini-block maxima (8
         // nibbles per 128-posting `BlockBound`, colocated with the block
         // headers). Bucket position i sits in storage block
-        // i / BLOCK_POSTINGS at offset i % BLOCK_POSTINGS, so its 16-entry
-        // mini-block's round-up-quantized maximum bounds the posting's
-        // weight — a strictly tighter sum than the whole-block maxima,
-        // still a sound upper bound per posting. The sequential
-        // accumulation mirrors the exact canonical sum's addition order,
-        // and floating-point rounding is monotone, so `bound >= exact
-        // score` holds slot for slot. Polled per stride like the exact
-        // accumulator: on expiry nothing has been ranked yet.
+        // i / BLOCK_POSTINGS at offset i % BLOCK_POSTINGS (the invariant
+        // asserted above), so its 16-entry mini-block's round-up-quantized
+        // maximum bounds the posting's weight — a strictly tighter sum
+        // than the whole-block maxima, still a sound upper bound per
+        // posting. The sequential accumulation mirrors the exact canonical
+        // sum's addition order, and floating-point rounding is monotone,
+        // so `bound >= exact score` holds slot for slot. Polled per stride
+        // like the exact accumulator: on expiry nothing has been ranked
+        // yet.
         let mut timed_out = false;
         'bound: for &bi in bucket_of.iter() {
-            let block_bounds = tables.term_blocks(distinct[bi]);
+            let (start, end) = spans[bi];
+            let block_bounds = &self.query_bounds[start..end];
             for (i, &(doc, _)) in buckets[bi].iter().enumerate() {
                 if i % SCAN_POLL_STRIDE == 0 && gate.expired() {
                     timed_out = true;

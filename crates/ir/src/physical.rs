@@ -266,6 +266,14 @@ impl EngineSet {
         self.scratch.queries_begun()
     }
 
+    /// Heap bytes of this engine's long-run bound table, `None` until a
+    /// query with a long run has built it. Exposed for the memory tests
+    /// only.
+    #[doc(hidden)]
+    pub fn bound_table_bytes(&self) -> Option<usize> {
+        self.daat_bounds.get().map(ScoreBounds::heap_bytes)
+    }
+
     /// Per-phase wall times of the most recent
     /// [`EngineSet::execute`]/[`EngineSet::execute_gated`] call: gate
     /// pass / decode / score / merge for the DAAT paths, a single score
@@ -606,6 +614,15 @@ mod tests {
             .expect("in-vocabulary query");
         assert_eq!(first.short_merged, 0);
         let built: *const ScoreBounds = set.daat_bounds.get().expect("built by the long run");
+        // The table holds one record per run of more than 512 postings in
+        // the index it serves, and nothing else.
+        let long_runs = (0..idx.vocab_size() as u32)
+            .filter(|&t| idx.run_len(t).unwrap() > 512)
+            .count();
+        assert_eq!(
+            set.daat_bounds.get().map(ScoreBounds::long_runs),
+            Some(long_runs)
+        );
         for terms in with_long.iter().chain(&all_short) {
             let rep = set
                 .execute(PhysicalPlan::PrunedDaat, terms, 10)

@@ -22,7 +22,7 @@
 //! instead of tolerances. A proptest in `crates/ir/tests/proptest_scorer.rs`
 //! pins this down.
 
-use crate::blocks::{CursorBuf, BLOCK_LEN, MINIS_PER_BLOCK, MINI_LEN};
+use crate::blocks::{CursorBuf, TermView, BLOCK_LEN, MINIS_PER_BLOCK, MINI_LEN};
 use crate::index::{CollectionStats, InvertedIndex};
 use crate::ranking::RankingModel;
 
@@ -207,32 +207,112 @@ impl BlockBound {
 // was previously alignment padding.
 const _: () = assert!(std::mem::size_of::<BlockBound>() == 16);
 
-/// Per-term score upper bounds for one `(index, model)` pair: exact
-/// per-term contribution maxima plus per-block maxima **colocated with
-/// the storage geometry** — one [`BlockBound`] per
+/// The longest run, in postings of the index it lives in, that counts as
+/// *short*. A short run is weighed whole per query — by the short-run
+/// merge (see the `daat` module docs), and for its bounds — so the bound
+/// table [`ScoreBounds`] holds only the runs longer than this.
+pub(crate) const SEED_RUN_MAX: usize = 512;
+
+/// The one weighing loop: decode block `b` of `view` into `buf` and call
+/// `visit(doc, weight)` for each of its postings, in block order. Every
+/// path that reads a whole run's weights — the bound table, the per-query
+/// short-run bounds and the short-run merge — weighs through it.
+#[inline]
+pub(crate) fn weigh_block(
+    kernel: &ScoreKernel,
+    scorer: &TermScorer,
+    view: &TermView<'_>,
+    b: usize,
+    buf: &mut CursorBuf,
+    mut visit: impl FnMut(u32, f64),
+) {
+    view.decode_docs(b, buf);
+    view.decode_tfs(b, buf);
+    let len = usize::from(view.headers()[b].len);
+    for (&doc, &tf) in buf.docs[..len].iter().zip(&buf.tfs[..len]) {
+        visit(doc, kernel.weight(scorer, tf, doc));
+    }
+}
+
+/// The one bound builder: the [`BlockBound`] of a block whose last
+/// document is `last_doc` and whose postings weigh `weights`, in block
+/// order — the exact block maximum and the eight round-up mini-block
+/// nibbles. The bound table and the per-query short-run bounds both call
+/// it, so a term's bounds are the same bits whichever path built them.
+pub(crate) fn block_bound(last_doc: u32, weights: &[f64]) -> BlockBound {
+    let mut bmax = 0.0f64;
+    let mut mini_max = [0.0f64; MINIS_PER_BLOCK];
+    for (i, &w) in weights.iter().enumerate() {
+        bmax = bmax.max(w);
+        let m = i / MINI_LEN;
+        mini_max[m] = mini_max[m].max(w);
+    }
+    let mut minis = [0u8; 4];
+    for (m, &mm) in mini_max.iter().enumerate() {
+        minis[m >> 1] |= quantize_mini(mm, bmax) << ((m & 1) * 4);
+    }
+    BlockBound {
+        last_doc,
+        minis,
+        max_score: bmax,
+    }
+}
+
+/// Bound one whole run: push one [`BlockBound`] per storage block of
+/// `view` to `out` and return the run's exact maximum weight (0.0 for an
+/// empty run). `weights` is scratch, reused block by block.
+fn bound_run(
+    kernel: &ScoreKernel,
+    scorer: &TermScorer,
+    view: &TermView<'_>,
+    buf: &mut CursorBuf,
+    weights: &mut Vec<f64>,
+    out: &mut Vec<BlockBound>,
+) -> f64 {
+    let mut tmax = 0.0f64;
+    for (b, header) in view.headers().iter().enumerate() {
+        weights.clear();
+        weigh_block(kernel, scorer, view, b, buf, |_, w| weights.push(w));
+        let bb = block_bound(header.last_doc, weights);
+        tmax = tmax.max(bb.max_score);
+        out.push(bb);
+    }
+    tmax
+}
+
+/// One long run's entry in [`ScoreBounds`]: its exact maximum weight and
+/// its range of the table's block bounds.
+#[derive(Debug, Clone, Copy)]
+struct LongRun {
+    term: u32,
+    /// First of the run's [`BlockBound`]s in [`ScoreBounds`]' array.
+    start: u32,
+    /// Number of block bounds (= storage blocks of the run).
+    len: u32,
+    /// The exact maximum contribution of any posting of the run.
+    max_weight: f64,
+}
+
+/// Score upper bounds of the **long** runs of one `(index, model)` pair —
+/// the runs of more than 512 postings (`SEED_RUN_MAX`) in the index the table
+/// is built for: per run its exact maximum contribution, plus per-block
+/// maxima **colocated with the storage geometry** — one [`BlockBound`] per
 /// [`crate::blocks::BLOCK_LEN`]-posting storage block, in the same order
-/// as the block headers. The earlier two-level (8/64-posting) block-max
-/// side tables are folded into this single array: the skip machinery now
-/// reasons at exactly the granularity the payload is packed at, so a
-/// failing bound always clears a whole storage block (no partially
-/// decoded blocks), and the gate's data is one load away.
+/// as the block headers, so a failing bound always clears a whole storage
+/// block and the gate's data is one load away.
 ///
-/// Building the tables costs one scoring pass over every posting, so only
-/// evaluators that prune on bounds construct them
-/// ([`crate::daat::DaatSearcher`], [`crate::fragment::FragSearcher`]);
-/// the plain accumulating searchers get by with the cheap [`ScoreKernel`].
+/// A short run has no entry: the pruned DAAT kernel and the fragmented
+/// bound pass build a short term's bounds per query, with the same
+/// builder, from the weights they read anyway. So building the table
+/// weighs the long runs' postings only, and it holds one 24-byte record
+/// per long run and one 16-byte [`BlockBound`] per long-run block, both
+/// sized exactly before the pass.
 #[derive(Debug, Clone)]
 pub struct ScoreBounds {
-    /// `term_max[t]` = the exact maximum contribution any posting of term
-    /// `t` makes — far tighter than the `max_tf`-at-dl-1 analytic bound
-    /// while remaining sound: it is a *reachable* maximum of the very
-    /// same floating-point evaluation the hot loop performs.
-    term_max: Vec<f64>,
-    /// All terms' block bounds, term-major, aligned with the storage
-    /// blocks of [`InvertedIndex::blocks`].
+    /// One record per long run, ascending by term id.
+    runs: Vec<LongRun>,
+    /// The long runs' block bounds, run after run.
     blocks: Vec<BlockBound>,
-    /// `offsets[t]..offsets[t + 1]` is term `t`'s bound range.
-    offsets: Vec<usize>,
 }
 
 impl ScoreBounds {
@@ -240,88 +320,80 @@ impl ScoreBounds {
     /// colocated with the physical blocks.
     pub const BLOCK_POSTINGS: usize = BLOCK_LEN;
 
-    /// Build the bound tables for `kernel` over `index`: one streaming
-    /// scoring pass over every posting, block by block.
+    /// Build the bound table for `kernel` over `index`: one streaming
+    /// scoring pass over the postings of every run longer than
+    /// 512 postings, block by block.
     pub fn new(kernel: &ScoreKernel, index: &InvertedIndex) -> ScoreBounds {
         let store = index.blocks();
-        let vocab = index.vocab_size();
+        let terms = 0..index.vocab_size() as u32;
+        let long = |t: &u32| store.run_len(*t) > SEED_RUN_MAX;
+        // The block headers give the exact sizes, so neither array grows.
+        let (mut runs, mut blocks) = (0usize, 0usize);
+        for t in terms.clone().filter(long) {
+            runs += 1;
+            blocks += store.view(t).num_blocks();
+        }
         let mut bounds = ScoreBounds {
-            term_max: Vec::with_capacity(vocab),
-            blocks: Vec::new(),
-            offsets: Vec::with_capacity(vocab + 1),
+            runs: Vec::with_capacity(runs),
+            blocks: Vec::with_capacity(blocks),
         };
-        bounds.offsets.push(0);
         let mut buf = CursorBuf::new();
-        for t in 0..vocab as u32 {
+        let mut weights = Vec::with_capacity(BLOCK_LEN);
+        for t in terms.filter(long) {
+            let scorer = kernel.term_scorer(
+                index.df(t).expect("term id in range"),
+                index.cf(t).expect("term id in range"),
+            );
+            let start = bounds.blocks.len();
             let view = store.view(t);
-            let mut tmax = 0.0f64;
-            if !view.is_empty() {
-                let scorer = TermScorer::new(
-                    kernel.model,
-                    index.df(t).expect("term id in range"),
-                    index.cf(t).expect("term id in range"),
-                    &kernel.stats,
-                );
-                for (b, header) in view.headers().iter().enumerate() {
-                    view.decode_docs(b, &mut buf);
-                    view.decode_tfs(b, &mut buf);
-                    let mut bmax = 0.0f64;
-                    let mut mini_max = [0.0f64; MINIS_PER_BLOCK];
-                    for i in 0..usize::from(header.len) {
-                        let w = scorer.weight(buf.tfs[i], kernel.norms[buf.docs[i] as usize]);
-                        bmax = bmax.max(w);
-                        let m = i / MINI_LEN;
-                        mini_max[m] = mini_max[m].max(w);
-                    }
-                    let mut minis = [0u8; 4];
-                    for (m, &mm) in mini_max.iter().enumerate() {
-                        minis[m >> 1] |= quantize_mini(mm, bmax) << ((m & 1) * 4);
-                    }
-                    bounds.blocks.push(BlockBound {
-                        last_doc: header.last_doc,
-                        minis,
-                        max_score: bmax,
-                    });
-                    tmax = tmax.max(bmax);
-                }
-            }
-            bounds.term_max.push(tmax);
-            bounds.offsets.push(bounds.blocks.len());
+            let max_weight = bound_run(
+                kernel,
+                &scorer,
+                &view,
+                &mut buf,
+                &mut weights,
+                &mut bounds.blocks,
+            );
+            bounds.runs.push(LongRun {
+                term: t,
+                start: start as u32,
+                len: (bounds.blocks.len() - start) as u32,
+                max_weight,
+            });
         }
         bounds
     }
 
-    /// The exact maximum contribution any posting of `term` makes under
-    /// the kernel's model — the per-term upper bound MaxScore pruning
-    /// runs on. 0.0 for unobserved or out-of-range terms.
-    #[inline]
-    pub fn term_max_weight(&self, term: u32) -> f64 {
-        self.term_max.get(term as usize).copied().unwrap_or(0.0)
+    /// A long run's bounds: the exact maximum contribution any posting of
+    /// `term` makes under the kernel's model — the per-term bound MaxScore
+    /// pruning runs on — and its block bounds, aligned with its storage
+    /// blocks (entry `b` covers postings `b * BLOCK_POSTINGS ..`). `None`
+    /// for a short run, an unobserved term or an out-of-range id: a short
+    /// term's bounds are built per query, never read as 0.0 from here.
+    pub fn term(&self, term: u32) -> Option<(f64, &[BlockBound])> {
+        let (max_weight, start, len) = self.term_range(term)?;
+        Some((max_weight, self.slice(start, len)))
     }
 
-    /// The block bounds of a term, aligned with its storage blocks: entry
-    /// `b` covers postings `b * BLOCK_POSTINGS ..` of the term's run.
-    /// Empty for unobserved or out-of-range terms.
-    #[inline]
-    pub fn term_blocks(&self, term: u32) -> &[BlockBound] {
-        let t = term as usize;
-        if t + 1 >= self.offsets.len() {
-            return &[];
-        }
-        &self.blocks[self.offsets[t]..self.offsets[t + 1]]
+    /// The number of long runs the table bounds.
+    pub fn long_runs(&self) -> usize {
+        self.runs.len()
     }
 
-    /// A term's `(start, len)` range within the flat bound array — cached
-    /// per query term so the hot gates index with [`ScoreBounds::slice`]
-    /// instead of re-resolving the offsets.
+    /// Heap bytes the table holds. Exposed for the memory tests only.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<LongRun>()
+            + self.blocks.capacity() * std::mem::size_of::<BlockBound>()
+    }
+
+    /// A long run's `(max weight, start, len)` within the flat bound array
+    /// — cached per query term so the hot gates index with
+    /// [`ScoreBounds::slice`] instead of searching again.
     #[inline]
-    pub(crate) fn term_range(&self, term: u32) -> (u32, u32) {
-        let t = term as usize;
-        if t + 1 >= self.offsets.len() {
-            return (0, 0);
-        }
-        let s = self.offsets[t];
-        (s as u32, (self.offsets[t + 1] - s) as u32)
+    pub(crate) fn term_range(&self, term: u32) -> Option<(f64, u32, u32)> {
+        let r = &self.runs[self.runs.binary_search_by_key(&term, |r| r.term).ok()?];
+        Some((r.max_weight, r.start, r.len))
     }
 
     /// A cached range of the flat bound array.
@@ -479,13 +551,39 @@ mod tests {
         }
     }
 
+    /// A term's bounds as the one builder makes them, for the table and
+    /// for a query alike: its exact maximum weight and one block bound per
+    /// storage block.
+    fn run_bounds(kernel: &ScoreKernel, idx: &InvertedIndex, term: u32) -> (f64, Vec<BlockBound>) {
+        let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
+        let mut out = Vec::new();
+        let max = bound_run(
+            kernel,
+            &scorer,
+            &idx.blocks().view(term),
+            &mut CursorBuf::new(),
+            &mut Vec::new(),
+            &mut out,
+        );
+        (max, out)
+    }
+
+    /// A collection whose frequent terms have runs longer than
+    /// [`SEED_RUN_MAX`], beside many short ones.
+    fn mixed_runs() -> InvertedIndex {
+        let c = Collection::generate(CollectionConfig::small()).unwrap();
+        let idx = InvertedIndex::from_collection(&c);
+        let long = (0..idx.vocab_size() as u32).filter(|&t| idx.run_len(t).unwrap() > SEED_RUN_MAX);
+        assert!(long.count() >= 4, "the small preset has long runs");
+        idx
+    }
+
     #[test]
     fn term_max_weight_is_tight_and_bounded_by_analytic_max() {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
         let idx = InvertedIndex::from_collection(&c);
         for m in models() {
             let kernel = ScoreKernel::new(m, &idx);
-            let bounds = ScoreBounds::new(&kernel, &idx);
             for term in idx.terms_by_df_asc() {
                 let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
                 let (docs, tfs) = idx.decode_postings(term).unwrap();
@@ -494,45 +592,85 @@ mod tests {
                     .enumerate()
                     .map(|(i, &doc)| kernel.weight(&scorer, tfs[i], doc))
                     .fold(0.0f64, f64::max);
+                let (max, _) = run_bounds(&kernel, &idx, term);
                 // Tight: the bound is exactly the observed maximum...
-                assert_eq!(bounds.term_max_weight(term).to_bits(), observed.to_bits());
+                assert_eq!(max.to_bits(), observed.to_bits());
                 // ...and never looser than the max_tf @ dl=1 analytic bound.
                 let analytic = kernel.max_weight(&scorer, idx.max_tf(term).unwrap());
-                assert!(bounds.term_max_weight(term) <= analytic);
+                assert!(max <= analytic);
             }
         }
+        // Every run of the tiny preset is short, so the table holds none of
+        // them: a short term's bound is never read from it as 0.0.
         let kernel = ScoreKernel::new(RankingModel::default(), &idx);
         let bounds = ScoreBounds::new(&kernel, &idx);
-        assert_eq!(bounds.term_max_weight(u32::MAX), 0.0);
-        assert!(bounds.term_blocks(u32::MAX).is_empty());
+        assert_eq!(bounds.long_runs(), 0);
+        for term in idx.terms_by_df_asc() {
+            assert!(bounds.term(term).is_none(), "short term {term}");
+        }
+        assert!(bounds.term(u32::MAX).is_none());
+    }
+
+    #[test]
+    fn the_table_holds_exactly_the_long_runs_as_the_builder_bounds_them() {
+        let idx = mixed_runs();
+        for m in models() {
+            let kernel = ScoreKernel::new(m, &idx);
+            let bounds = ScoreBounds::new(&kernel, &idx);
+            let mut long = 0usize;
+            let mut blocks = 0usize;
+            for term in 0..idx.vocab_size() as u32 {
+                let len = idx.run_len(term).unwrap();
+                let Some((max, bb)) = bounds.term(term) else {
+                    assert!(len <= SEED_RUN_MAX, "{m:?}: long term {term} missing");
+                    continue;
+                };
+                assert!(len > SEED_RUN_MAX, "{m:?}: short term {term} in the table");
+                let (want_max, want) = run_bounds(&kernel, &idx, term);
+                assert_eq!(max.to_bits(), want_max.to_bits(), "{m:?} term {term}");
+                assert_eq!(bb, &want[..], "{m:?} term {term}");
+                long += 1;
+                blocks += bb.len();
+            }
+            assert_eq!(bounds.long_runs(), long);
+            // Sized exactly: no growth slack.
+            assert_eq!(
+                bounds.heap_bytes(),
+                long * std::mem::size_of::<LongRun>() + blocks * std::mem::size_of::<BlockBound>()
+            );
+        }
     }
 
     #[test]
     fn block_bounds_align_with_storage_blocks_and_cover_them() {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
-        let idx = InvertedIndex::from_collection(&c);
-        for m in models() {
-            let kernel = ScoreKernel::new(m, &idx);
-            let bounds = ScoreBounds::new(&kernel, &idx);
-            for term in idx.terms_by_df_asc() {
-                let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
-                let (docs, tfs) = idx.decode_postings(term).unwrap();
-                let bb = bounds.term_blocks(term);
-                let headers = idx.blocks().view(term).headers();
-                assert_eq!(bb.len(), docs.len().div_ceil(ScoreBounds::BLOCK_POSTINGS));
-                assert_eq!(bb.len(), headers.len());
-                for (b, chunk) in docs.chunks(ScoreBounds::BLOCK_POSTINGS).enumerate() {
-                    // Colocated geometry: the bound's horizon is the
-                    // storage block's last document.
-                    assert_eq!(bb[b].last_doc, *chunk.last().unwrap());
-                    assert_eq!(bb[b].last_doc, headers[b].last_doc);
-                    for (i, &doc) in chunk.iter().enumerate() {
-                        let w =
-                            kernel.weight(&scorer, tfs[b * ScoreBounds::BLOCK_POSTINGS + i], doc);
-                        assert!(w <= bb[b].max_score, "{m:?} term {term} block {b}");
+        let tiny = InvertedIndex::from_collection(&c);
+        for idx in [tiny, mixed_runs()] {
+            for m in models() {
+                let kernel = ScoreKernel::new(m, &idx);
+                for term in idx.terms_by_df_asc() {
+                    let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
+                    let (docs, tfs) = idx.decode_postings(term).unwrap();
+                    let (max, bb) = run_bounds(&kernel, &idx, term);
+                    let headers = idx.blocks().view(term).headers();
+                    assert_eq!(bb.len(), docs.len().div_ceil(ScoreBounds::BLOCK_POSTINGS));
+                    assert_eq!(bb.len(), headers.len());
+                    for (b, chunk) in docs.chunks(ScoreBounds::BLOCK_POSTINGS).enumerate() {
+                        // Colocated geometry: the bound's horizon is the
+                        // storage block's last document.
+                        assert_eq!(bb[b].last_doc, *chunk.last().unwrap());
+                        assert_eq!(bb[b].last_doc, headers[b].last_doc);
+                        for (i, &doc) in chunk.iter().enumerate() {
+                            let w = kernel.weight(
+                                &scorer,
+                                tfs[b * ScoreBounds::BLOCK_POSTINGS + i],
+                                doc,
+                            );
+                            assert!(w <= bb[b].max_score, "{m:?} term {term} block {b}");
+                        }
+                        // Every block bound is itself bounded by the term max.
+                        assert!(bb[b].max_score <= max);
                     }
-                    // Every block bound is itself bounded by the term max.
-                    assert!(bb[b].max_score <= bounds.term_max_weight(term));
                 }
             }
         }
@@ -541,32 +679,36 @@ mod tests {
     #[test]
     fn mini_block_bounds_cover_postings_and_stay_within_block_max() {
         let c = Collection::generate(CollectionConfig::tiny()).unwrap();
-        let idx = InvertedIndex::from_collection(&c);
-        for m in models() {
-            let kernel = ScoreKernel::new(m, &idx);
-            let bounds = ScoreBounds::new(&kernel, &idx);
-            for term in idx.terms_by_df_asc() {
-                let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
-                let (docs, tfs) = idx.decode_postings(term).unwrap();
-                let bb = bounds.term_blocks(term);
-                for (b, chunk) in docs.chunks(ScoreBounds::BLOCK_POSTINGS).enumerate() {
-                    for (i, &doc) in chunk.iter().enumerate() {
-                        let w =
-                            kernel.weight(&scorer, tfs[b * ScoreBounds::BLOCK_POSTINGS + i], doc);
-                        let mini = bb[b].mini_bound(i);
-                        assert!(
-                            w <= mini,
-                            "{m:?} term {term} block {b} idx {i}: {w} > mini {mini}"
-                        );
-                        assert!(mini <= bb[b].max_score);
+        let tiny = InvertedIndex::from_collection(&c);
+        for idx in [tiny, mixed_runs()] {
+            for m in models() {
+                let kernel = ScoreKernel::new(m, &idx);
+                for term in idx.terms_by_df_asc() {
+                    let scorer = kernel.term_scorer(idx.df(term).unwrap(), idx.cf(term).unwrap());
+                    let (docs, tfs) = idx.decode_postings(term).unwrap();
+                    let (_, bb) = run_bounds(&kernel, &idx, term);
+                    for (b, chunk) in docs.chunks(ScoreBounds::BLOCK_POSTINGS).enumerate() {
+                        for (i, &doc) in chunk.iter().enumerate() {
+                            let w = kernel.weight(
+                                &scorer,
+                                tfs[b * ScoreBounds::BLOCK_POSTINGS + i],
+                                doc,
+                            );
+                            let mini = bb[b].mini_bound(i);
+                            assert!(
+                                w <= mini,
+                                "{m:?} term {term} block {b} idx {i}: {w} > mini {mini}"
+                            );
+                            assert!(mini <= bb[b].max_score);
+                        }
                     }
-                }
-                // Empty mini-blocks of a partial final block bound to 0.
-                if let Some(last) = bb.last() {
-                    let tail = docs.len() - (bb.len() - 1) * ScoreBounds::BLOCK_POSTINGS;
-                    let first_empty_mini = tail.div_ceil(MINI_LEN);
-                    if first_empty_mini < MINIS_PER_BLOCK {
-                        assert_eq!(last.mini_bound(first_empty_mini * MINI_LEN), 0.0);
+                    // Empty mini-blocks of a partial final block bound to 0.
+                    if let Some(last) = bb.last() {
+                        let tail = docs.len() - (bb.len() - 1) * ScoreBounds::BLOCK_POSTINGS;
+                        let first_empty_mini = tail.div_ceil(MINI_LEN);
+                        if first_empty_mini < MINIS_PER_BLOCK {
+                            assert_eq!(last.mini_bound(first_empty_mini * MINI_LEN), 0.0);
+                        }
                     }
                 }
             }

@@ -29,7 +29,16 @@ use moa_obs::PhaseAgg;
 use moa_topn::TopNHeap;
 
 use crate::blocks::{CursorBuf, CursorPos};
-use crate::scorer::TermScorer;
+use crate::scorer::{BlockBound, ScoreBounds, TermScorer};
+
+/// Which array holds a query term's block bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BoundsIn {
+    /// The long-run table, [`ScoreBounds`].
+    Table,
+    /// The query's own short-run bounds, [`ShortRuns::bounds`].
+    Query,
+}
 
 /// Per-query-term plain data: identity, precomputed scorer, and the
 /// MaxScore bound. Cursor position and decode buffers live in the sibling
@@ -45,12 +54,33 @@ pub(crate) struct TermMeta {
     pub scorer: TermScorer,
     /// Exact per-term posting maximum (MaxScore partition key).
     pub max_weight: f64,
-    /// Start of this term's range in the bound table's flat
-    /// [`crate::scorer::BlockBound`] array (resolved once per query so the
-    /// per-candidate gates index directly).
+    /// The array that holds this term's block bounds: the table for a long
+    /// run, the query's short-run bounds for a short one.
+    pub bounds_in: BoundsIn,
+    /// Start of this term's range in that array (resolved once per query
+    /// so the per-candidate gates index directly).
     pub bounds_start: u32,
     /// Number of block bounds in the range (= number of storage blocks).
     pub bounds_len: u32,
+}
+
+impl TermMeta {
+    /// This term's block bounds, one per storage block of its run: the
+    /// one accessor every pruning site reads them through. `table` is the
+    /// long-run table and `query` the query's [`ShortRuns::bounds`].
+    #[inline]
+    pub fn block_bounds<'b>(
+        &self,
+        table: &'b ScoreBounds,
+        query: &'b [BlockBound],
+    ) -> &'b [BlockBound] {
+        match self.bounds_in {
+            BoundsIn::Table => table.slice(self.bounds_start, self.bounds_len),
+            BoundsIn::Query => {
+                &query[self.bounds_start as usize..(self.bounds_start + self.bounds_len) as usize]
+            }
+        }
+    }
 }
 
 /// One non-essential term's *shallow* bound at the pruned kernel's
@@ -66,8 +96,10 @@ pub(crate) struct NeBound {
     pub prefix: f64,
 }
 
-/// The query's short runs, decoded and weighted whole for the merge the
-/// seed pass and the all-short path share (see the `daat` module docs).
+/// The query's short runs, decoded and weighed whole in one pass that
+/// feeds the short-run merge (the seed pass and the all-short path) and,
+/// on the windowed path, the short terms' bounds (see the `daat` module
+/// docs).
 #[derive(Debug, Default)]
 pub(crate) struct ShortRuns {
     /// Every short run's document ids, run after run in query order, each
@@ -77,6 +109,9 @@ pub(crate) struct ShortRuns {
     pub weights: Vec<f64>,
     /// Per short run, its merge head in `docs`.
     pub heads: Vec<usize>,
+    /// The windowed path's short-run block bounds, run after run: a short
+    /// term's [`TermMeta`] points here ([`BoundsIn::Query`]).
+    pub bounds: Vec<BlockBound>,
 }
 
 /// The short-run merge's buffers: the decoded runs, and the seed pass's
@@ -120,7 +155,7 @@ pub struct QueryScratch {
     /// bounds. All zero between windows: the scoring pass takes every slot
     /// it reads.
     pub(crate) lane_bound: Vec<f64>,
-    /// The short-run merge's buffers; they grow to the largest short-run
+    /// The short-run pass's buffers; they grow to the largest short-run
     /// volume seen and stay.
     pub(crate) seed: SeedLanes,
     /// The reusable top-N heap ([`TopNHeap::reset`] per query).

@@ -346,3 +346,62 @@ fn all_short_queries_allocate_nothing_once_the_merge_buffers_have_grown() {
         );
     }
 }
+
+#[test]
+fn windowed_queries_mixing_short_and_long_runs_allocate_nothing_once_the_short_bounds_have_grown() {
+    // The windowed kernel builds each short term's bounds per query into
+    // the arena, seeded or not: BM25 with b = 3.0 can weigh below zero, so
+    // its queries run unseeded and the pass builds the bounds alone.
+    let collection = Collection::generate(CollectionConfig::small()).expect("valid preset");
+    let index = InvertedIndex::from_collection(&collection);
+    let by_df = index.terms_by_df_asc();
+    let df = |t: u32| index.df(t).expect("term in vocabulary");
+    let long: Vec<u32> = by_df.iter().rev().take(2).copied().collect();
+    assert!(long.iter().all(|&t| df(t) > 512));
+    let short: Vec<u32> = by_df
+        .iter()
+        .copied()
+        .filter(|&t| (1..=512).contains(&df(t)))
+        .step_by(97)
+        .take(6)
+        .collect();
+    assert_eq!(short.len(), 6);
+    let queries: Vec<Vec<u32>> = vec![
+        vec![short[0], long[0], short[1]],
+        vec![long[1], short[2], short[3], long[0], short[4]],
+        vec![short[5], long[1]],
+    ];
+    let gate = BoundGate::none();
+    let mut scratch = QueryScratch::new();
+    for model in [
+        RankingModel::default(),
+        RankingModel::Bm25 { k1: 1.2, b: 3.0 },
+    ] {
+        let daat = DaatSearcher::new(&index, model);
+        for q in &queries {
+            for n in [1usize, 10, 100] {
+                let _ = daat
+                    .search_windowed_into(q, n, &gate, &mut scratch)
+                    .expect("valid query");
+            }
+        }
+        let before = allocations();
+        let mut checksum = 0usize;
+        for _ in 0..5 {
+            for q in &queries {
+                for n in [1usize, 10, 100] {
+                    let stats = daat
+                        .search_windowed_into(q, n, &gate, &mut scratch)
+                        .expect("valid query");
+                    checksum += stats.postings_scanned + scratch.out.len();
+                }
+            }
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{model:?}: windowed queries with short terms allocated in steady state"
+        );
+        assert!(checksum > 0);
+    }
+}

@@ -244,6 +244,14 @@ impl EngineShard {
         self.engines.scratch_queries()
     }
 
+    /// Heap bytes of this shard's long-run bound table, `None` until a
+    /// query with a long run has built it. Exposed for the memory tests
+    /// only.
+    #[doc(hidden)]
+    pub fn bound_table_bytes(&self) -> Option<usize> {
+        self.engines.bound_table_bytes()
+    }
+
     /// Execute one query on this shard under `mode`, pruning and
     /// publishing through `gate`.
     pub(crate) fn run_one(

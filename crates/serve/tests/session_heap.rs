@@ -12,6 +12,13 @@
 //! of the posting storage, replays the four classes planned, and checks
 //! that only a pinned fragmented query builds the tables.
 //!
+//! One query with a long run makes each shard build its score-bound
+//! table. That table holds only the shard's runs of more than 512
+//! postings, sized exactly, so its bytes are capped by those runs' block
+//! count: one 16-byte block bound per block and one 24-byte record per
+//! run. A table that also bounded the short runs, or kept dense
+//! vocabulary-sized arrays, would be many times over that cap.
+//!
 //! (Integration test so the counting allocator owns the whole binary;
 //! the crate's unit tests keep the system allocator.)
 
@@ -20,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryConfig};
-use moa_ir::{InvertedIndex, PhysicalPlan, Strategy};
+use moa_ir::{BlockBound, InvertedIndex, PhysicalPlan, Strategy};
 use moa_serve::{BatchQuery, ServeConfig, ServeMode, ShardedEngine};
 
 struct CountingAlloc;
@@ -65,6 +72,24 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// shard makes it 8.1, and eagerly built fragment tables 10.3.
 const MAX_BUILD_HEAP_PER_STORAGE_BYTE: usize = 7;
 
+/// The longest short run: the bound table holds only longer runs.
+const SHORT_RUN_MAX: usize = 512;
+
+/// A bound-table record per long run: its term id, its block range and
+/// its maximum weight.
+const RECORD_BYTES: usize = 24;
+
+/// The most heap a shard's bound table may hold: a record per run of more
+/// than [`SHORT_RUN_MAX`] postings in the shard's index and a block bound
+/// per block of those runs.
+fn bound_table_ceiling(index: &InvertedIndex) -> usize {
+    (0..index.vocab_size() as u32)
+        .map(|t| index.blocks().view(t))
+        .filter(|view| view.len() > SHORT_RUN_MAX)
+        .map(|view| RECORD_BYTES + view.num_blocks() * std::mem::size_of::<BlockBound>())
+        .sum()
+}
+
 /// The work ledger's query classes.
 const CLASSES: [DfBias; 4] = [
     DfBias::FrequentOnly,
@@ -95,6 +120,29 @@ fn a_planned_session_builds_no_fragment_table_and_shares_one_catalog() {
         built <= MAX_BUILD_HEAP_PER_STORAGE_BYTE * storage,
         "the build holds {built} heap bytes, over {MAX_BUILD_HEAP_PER_STORAGE_BYTE} x \
          {storage} bytes of posting storage"
+    );
+
+    // One query of the two most frequent terms, on the pruned kernel,
+    // builds every shard's bound table: it holds the long runs alone.
+    let frequent = index.terms_by_df_asc();
+    let terms = [frequent[frequent.len() - 1], frequent[frequent.len() - 2]];
+    let pruned = ServeMode::Fixed(PhysicalPlan::PrunedDaat);
+    let response = engine
+        .execute(&terms, 10, pruned, config.propagate)
+        .expect("terms are in the vocabulary");
+    assert_eq!(response.top.len(), 10);
+    let mut table_bytes = 0usize;
+    let mut ceiling = 0usize;
+    for shard in engine.shards() {
+        table_bytes += shard
+            .bound_table_bytes()
+            .unwrap_or_else(|| panic!("shard {} built no bound table", shard.id()));
+        ceiling += bound_table_ceiling(shard.fragments().index());
+    }
+    assert!(
+        table_bytes <= ceiling,
+        "the shards' bound tables hold {table_bytes} heap bytes, over the {ceiling} bytes \
+         their long runs need"
     );
 
     for bias in CLASSES {
@@ -137,8 +185,6 @@ fn a_planned_session_builds_no_fragment_table_and_shares_one_catalog() {
     }
 
     // A pinned fragmented plan is what builds the tables.
-    let frequent = index.terms_by_df_asc();
-    let terms = [frequent[frequent.len() - 1], frequent[frequent.len() - 2]];
     let pinned = ServeMode::Fixed(PhysicalPlan::Fragmented(Strategy::Switch {
         use_b_index: true,
     }));
