@@ -1,4 +1,4 @@
-//! Experiment implementations E1–E13 and E19.
+//! Experiment implementations E1–E13.
 //!
 //! | id  | paper anchor                                                | module |
 //! |-----|-------------------------------------------------------------|--------|
@@ -15,10 +15,9 @@
 //! | E11 | ablation: switch-policy threshold sweep                     | [`e11`]|
 //! | E12 | ablation: ranking-model sensitivity                         | [`e12`]|
 //! | E13 | §3 Step 1: set-based vs element-at-a-time architectures     | [`e13`]|
-//! | E19 | serving: overload shedding, deadlines, worker fault storm   | [`e19`]|
 //!
-//! The ids E14–E18, E20 and E21 are retired and rejected as unknown; the
-//! `moabench` workloads measure what they did:
+//! The ids E14–E21 are retired and rejected as unknown. The `moabench`
+//! workloads measure what E14–E18, E20 and E21 did:
 //!
 //! * E14, the pruned DAAT kernel against the exhaustive merge:
 //!   `operator.pruned_daat_us_p50` vs `operator.exhaustive_daat_us_p50`
@@ -30,6 +29,11 @@
 //! * E16, E18, E20 and E21, sharded scaling, sustained-load throughput,
 //!   telemetry overhead and result caching: the end-to-end figures.
 //!
+//! E19's resilience gates (the queue high-water mark within its bound,
+//! served + shed = offered, deadline partials without errors, one respawn
+//! per crash, answers exact under overload and after a crash storm) are
+//! deterministic tests in `crates/serve/tests/pool_faults.rs`.
+//!
 //! Their correctness checks live in the differential oracle, the
 //! `moa-serve` oracle suites and the work ledger (`tests/work_ledger.rs`),
 //! which pins every engine path's counters per query mix × model × N.
@@ -39,7 +43,6 @@ pub mod e10;
 pub mod e11;
 pub mod e12;
 pub mod e13;
-pub mod e19;
 pub mod e2;
 pub mod e3;
 pub mod e4;
@@ -56,7 +59,7 @@ use crate::harness::{Scale, Table};
 type Experiment = fn(Scale) -> Table;
 
 /// Every experiment by id, in the order "all" runs them.
-const EXPERIMENTS: [(&str, Experiment); 14] = [
+const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("e1", e1::run),
     ("e2", e2::run),
     ("e3", e3::run),
@@ -70,10 +73,9 @@ const EXPERIMENTS: [(&str, Experiment); 14] = [
     ("e11", e11::run),
     ("e12", e12::run),
     ("e13", e13::run),
-    ("e19", e19::run),
 ];
 
-/// Run one experiment by id ("e1" … "e19"), or all of them with "all".
+/// Run one experiment by id ("e1" … "e13"), or all of them with "all".
 /// `None` for an unknown id — a usage error, so a mistyped id can never
 /// pass for a run.
 pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
@@ -93,7 +95,8 @@ mod tests {
     #[test]
     fn unknown_ids_are_rejected_without_running_anything() {
         for id in [
-            "e99", "e0", "", "E1", "e1 ", "al", "e14", "e15", "e16", "e17", "e18", "e20", "e21",
+            "e99", "e0", "", "E1", "e1 ", "al", "e14", "e15", "e16", "e17", "e18", "e19", "e20",
+            "e21",
         ] {
             assert!(run(id, Scale::Quick).is_none(), "{id:?} accepted");
         }

@@ -37,46 +37,6 @@ pub fn time_median(k: usize, mut f: impl FnMut()) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// Latency percentiles over a set of samples.
-///
-/// Nearest-rank on the sorted samples (`⌈p/100 · len⌉`-th value): every
-/// reported figure is a latency that actually occurred — no
-/// interpolation inventing values between observations — and the p100
-/// tail is the true maximum. The convention serving dashboards use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Percentiles {
-    /// Median (p50).
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// Maximum observed (p100).
-    pub max: Duration,
-}
-
-impl Percentiles {
-    /// Compute nearest-rank percentiles. Returns `None` on an empty
-    /// sample set — there is no latency distribution to summarize, and
-    /// zeros would read as measurements.
-    pub fn of(samples: &mut [Duration]) -> Option<Percentiles> {
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort();
-        let at = |p: f64| {
-            let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-            samples[rank.clamp(1, samples.len()) - 1]
-        };
-        Some(Percentiles {
-            p50: at(50.0),
-            p95: at(95.0),
-            p99: at(99.0),
-            max: samples[samples.len() - 1],
-        })
-    }
-}
-
 /// A paper-style result table: fixed headers, aligned text rendering, and
 /// free-form claim-check notes underneath.
 #[derive(Debug, Clone, Default)]
@@ -232,32 +192,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(500)), "500us");
         assert_eq!(fmt_duration(Duration::from_millis(5)), "5.00ms");
         assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank_on_observed_samples() {
-        // 100 distinct samples: 1us..=100us. Nearest-rank p50 is the
-        // 50th value, p95 the 95th, p99 the 99th, max the 100th.
-        let mut samples: Vec<Duration> = (1..=100).rev().map(Duration::from_micros).collect();
-        let p = Percentiles::of(&mut samples).expect("non-empty");
-        assert_eq!(p.p50, Duration::from_micros(50));
-        assert_eq!(p.p95, Duration::from_micros(95));
-        assert_eq!(p.p99, Duration::from_micros(99));
-        assert_eq!(p.max, Duration::from_micros(100));
-    }
-
-    #[test]
-    fn percentiles_of_one_sample_are_that_sample() {
-        let mut samples = vec![Duration::from_micros(7)];
-        let p = Percentiles::of(&mut samples).expect("non-empty");
-        assert_eq!(p.p50, Duration::from_micros(7));
-        assert_eq!(p.p99, Duration::from_micros(7));
-        assert_eq!(p.max, Duration::from_micros(7));
-    }
-
-    #[test]
-    fn percentiles_of_nothing_are_none() {
-        assert_eq!(Percentiles::of(&mut []), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! typically registered as `serve.queue_depth.shard<i>` in the pool's
 //! [`moa_obs::MetricsRegistry`] — rather than ad-hoc fields here; the
 //! high-water mark (the deepest any acquisition ever took the gauge) is
-//! the observable E19's queue-ceiling gate checks.
+//! the observable the `pool_faults` queue-ceiling checks read.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;

@@ -18,12 +18,11 @@
 //! [`crate::QueryResponse::partial`]` == true` — an exact-prefix ranking
 //! plus honest work counters (see `moa_ir::deadline`).
 //!
-//! [`WorkerFault`] is the injection surface the E19 resilience harness
-//! and the `pool_faults` suite drive: poison-term panics exercise the
-//! per-query `catch_unwind` isolation, `Crash` kills a worker thread
-//! outside the per-query guard to exercise ticket synthesis and respawn,
-//! and `Stall` holds a worker busy so admission backpressure is
-//! deterministic to test.
+//! [`WorkerFault`] is the injection surface the `pool_faults` suite
+//! drives: poison-term panics exercise the per-query `catch_unwind`
+//! isolation, `Crash` kills a worker thread outside the per-query guard
+//! to exercise ticket synthesis and respawn, and `Stall` holds a worker
+//! busy so admission backpressure is deterministic to test.
 
 use std::any::Any;
 use std::fmt;
@@ -157,11 +156,10 @@ pub(crate) const POISON_PANIC: &str = "injected poison term in query";
 /// Silence the default panic-hook output for shard worker threads
 /// (named `moa-shard-*`) and for injected poison-term panics on any
 /// thread (a caller-run query executes on the submitter's thread).
-/// Fault-injection runs — the `pool_faults` suite, the E19 resilience
-/// harness — panic *on purpose*, and every injected fault is already
-/// captured, typed, and reported through [`ServeError::ShardFailed`] /
-/// [`ShardPanic`]; the default hook's stderr traces would just bury the
-/// real output. Every other panic still reaches the previously installed
+/// Fault-injection runs — the `pool_faults` suite — panic *on purpose*,
+/// and every injected fault is already captured, typed, and reported
+/// through [`ServeError::ShardFailed`] / [`ShardPanic`]; the default
+/// hook's stderr traces would just bury the real output. Every other panic still reaches the previously installed
 /// hook. Installs once per process; safe to call repeatedly.
 pub fn silence_worker_panics() {
     static INSTALL: std::sync::Once = std::sync::Once::new();

@@ -50,8 +50,8 @@
 //! ([`ServeError::ShardFailed`]), the worker (or its respawned
 //! replacement, over the retained shard) keeps serving, and shutdown
 //! reports the panic history instead of re-panicking
-//! ([`pool::PoolShutdown`]). The E19 resilience experiment drives all
-//! three under injected faults at multiples of calibrated capacity.
+//! ([`pool::PoolShutdown`]). The `pool_faults` tests drive all three
+//! under injected stalls, poison terms and crashes.
 //!
 //! Observability (see DESIGN.md "Observability"): the pool publishes
 //! every serving signal — admission counters, per-shard queue-depth

@@ -19,8 +19,9 @@
 //!   [`ShardPool::submit`] admits under an [`AdmissionPolicy`] — block
 //!   for room (backpressure), shed with [`ServeError::Shed`], or admit
 //!   only into idle workers. A saturated pool can no longer grow its
-//!   queues (and its memory) without limit; E19 drives this at multiples
-//!   of calibrated capacity and gates on the recorded high-water marks.
+//!   queues (and its memory) without limit; the `pool_faults` tests
+//!   saturate it with a stalled worker and check the recorded high-water
+//!   marks.
 //! * **Per-query deadlines.** With [`PoolConfig::deadline`] set, every
 //!   distinct query is admitted with one `moa_ir` `DeadlineGate` shared
 //!   by all shards (queueing time counts against the budget). An expired
@@ -396,9 +397,8 @@ enum Job {
         n: usize,
         reply: Sender<ServeResult<ExplainRow>>,
     },
-    /// Adjust the worker's fault state (tests and the E19 resilience
-    /// harness). Rides the ordinary queue: takes effect in admission
-    /// order, costs no gauge slot.
+    /// Adjust the worker's fault state (tests). Rides the ordinary
+    /// queue: takes effect in admission order, costs no gauge slot.
     Fault(WorkerFault),
 }
 
@@ -855,7 +855,8 @@ impl ShardPool {
     }
 
     /// The deepest any worker queue has ever been — never exceeds
-    /// [`ShardPool::queue_bound`]; the ceiling E19 gates on.
+    /// [`ShardPool::queue_bound`]; the ceiling the `pool_faults` tests
+    /// check.
     pub fn queue_high_water(&self) -> usize {
         self.workers
             .iter()
@@ -1199,13 +1200,13 @@ impl ShardPool {
         responses
     }
 
-    /// Inject a fault into one shard worker (tests and the E19
-    /// resilience harness). The fault rides the worker's ordinary job
-    /// queue, so it takes effect after everything already admitted. A
-    /// dead worker is healed first so the injection always lands. An
-    /// armed or cleared poison term is mirrored pool-side at the same
-    /// moment, so [`ShardPool::run_in_caller`] — which never reaches the
-    /// queue — sees it in the same admission order.
+    /// Inject a fault into one shard worker (tests). The fault rides the
+    /// worker's ordinary job queue, so it takes effect after everything
+    /// already admitted. A dead worker is healed first so the injection
+    /// always lands. An armed or cleared poison term is mirrored
+    /// pool-side at the same moment, so [`ShardPool::run_in_caller`] —
+    /// which never reaches the queue — sees it in the same admission
+    /// order.
     pub fn inject_fault(&mut self, shard: usize, fault: WorkerFault) {
         self.heal_worker(shard);
         match fault {

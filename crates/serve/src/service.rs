@@ -349,8 +349,7 @@ impl ServeSession {
         &self.pool
     }
 
-    /// Mutable pool access — fault injection and healing for tests and
-    /// the E19 resilience harness.
+    /// Mutable pool access — fault injection and healing for tests.
     pub fn pool_mut(&mut self) -> &mut ShardPool {
         &mut self.pool
     }

@@ -5,14 +5,17 @@
 //! * admission — `Shed` refuses exactly at the configured bound and the
 //!   pool recovers after drain; `TryNow` admits only an idle pool;
 //!   `Block` backpressures (measurably waits) instead of refusing, and
-//!   the queue high-water mark never exceeds the bound;
+//!   the queue high-water mark never exceeds the bound, also under a
+//!   saturating multi-batch stream, where every arrival is served
+//!   exactly or shed;
 //! * deadlines — an expired budget degrades to an `Ok` **partial**
 //!   response whose every reported score is bit-identical to the full
 //!   run's score for that document (exact prefix, honest counters);
 //! * isolation — a poison-term panic inside the per-query guard fails
 //!   only the poisoned position; a worker crash fails the in-flight
 //!   batch with typed errors, the next submission respawns the worker
-//!   over the retained shard, and answers return bit-identical;
+//!   over the retained shard, and answers return bit-identical, crash
+//!   after crash on rotating shards;
 //! * teardown — dropping an admitted ticket neither deadlocks workers
 //!   nor leaks queue slots, and `shutdown` *reports* worker panics
 //!   instead of re-panicking the drain;
@@ -28,7 +31,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
+use moa_corpus::{
+    generate_queries, generate_query_stream, Collection, CollectionConfig, DfBias, Query,
+    QueryConfig, StreamConfig,
+};
 use moa_ir::{InvertedIndex, PhysicalPlan, Searcher, Strategy};
 use moa_serve::{
     silence_worker_panics, AdmissionPolicy, BatchQuery, ServeConfig, ServeError, ServeMode,
@@ -204,6 +210,98 @@ fn shed_policy_refuses_at_the_bound_and_recovers_after_drain() {
         assert_eq!(g.top, w.top, "q{qi}: retried shed batch diverged");
     }
     assert!(svc.pool().queue_high_water() <= 2);
+}
+
+#[test]
+fn a_saturating_stream_sheds_at_the_bound_and_serves_the_rest_exactly() {
+    // A Zipf stream offered batch after batch without collecting, while a
+    // stall holds one worker (a different one each round): the stalled
+    // queue fills to its bound and every later batch of the round is
+    // shed. Every arrival is served or shed, nothing fails, and what was
+    // served matches a session that never had a fault.
+    let (c, idx, _) = fixture();
+    let stream: Vec<BatchQuery> = generate_query_stream(
+        &c,
+        &StreamConfig {
+            pool: QueryConfig {
+                num_queries: 8,
+                bias: DfBias::TrecLike { high_df_mix: 0.4 },
+                seed: 0x5A7,
+                ..QueryConfig::default()
+            },
+            length: 48,
+            exponent: 1.0,
+            seed: 0x57E5,
+        },
+    )
+    .expect("valid stream")
+    .into_iter()
+    .map(|q| BatchQuery {
+        terms: q.terms,
+        n: 10,
+    })
+    .collect();
+    let (shards, bound) = (2, 2);
+    let mut svc = session(&idx, shards, bound, AdmissionPolicy::Shed, None);
+    let mut reference = session(&idx, shards, bound, AdmissionPolicy::Block, None);
+    let (mut served, mut shed) = (0, 0);
+    // Twelve batches of four, offered four batches a round.
+    let batches: Vec<&[BatchQuery]> = stream.chunks(4).collect();
+    for (round, batches) in batches.chunks(4).enumerate() {
+        svc.pool_mut().inject_fault(
+            round % shards,
+            WorkerFault::Stall(Duration::from_millis(300)),
+        );
+        let mut admitted = Vec::new();
+        let mut round_shed = 0;
+        for &batch in batches {
+            match svc.enqueue(batch) {
+                Ok(pending) => admitted.push((pending, batch)),
+                Err(e) => {
+                    assert!(
+                        e.is_shed(),
+                        "round {round}: admission refuses only by shedding: {e}"
+                    );
+                    round_shed += batch.len();
+                }
+            }
+        }
+        assert!(
+            round_shed > 0,
+            "round {round}: a stalled bound-{bound} queue never shed"
+        );
+        shed += round_shed;
+        for (pending, batch) in admitted {
+            let got = svc.collect(pending);
+            let want = reference.submit_many(batch).expect("blocking admission");
+            for (qi, (g, w)) in got.responses.iter().zip(want.expect_ok()).enumerate() {
+                let g = g
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("round {round} q{qi} failed: {e}"));
+                assert_eq!(
+                    bits(&g.top),
+                    bits(&w.top),
+                    "round {round} q{qi}: served answer diverged"
+                );
+                served += 1;
+            }
+        }
+        assert!(
+            svc.pool().queue_high_water() <= svc.pool().queue_bound(),
+            "round {round}: queue high-water {} passed the bound {}",
+            svc.pool().queue_high_water(),
+            svc.pool().queue_bound()
+        );
+    }
+    assert_eq!(
+        served + shed,
+        stream.len(),
+        "every arrival is served or shed"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.queries_shed, shed);
+    assert_eq!(stats.queries_served, served);
+    assert_eq!(stats.queries_failed, 0);
 }
 
 #[test]
@@ -731,66 +829,82 @@ fn poisoned_short_solo_submit_fails_typed_in_the_caller_and_recovers() {
 
 #[test]
 fn crash_fails_the_in_flight_batch_and_the_respawned_worker_matches() {
+    // A crash storm on rotating shards of a 4-shard session, the last
+    // crash hitting a worker that was already respawned once.
     silence_worker_panics();
     let (_, idx, queries) = fixture();
     let batch = batch_of(&queries[..3], 10);
-    let mut svc = session(&idx, 2, 4, AdmissionPolicy::Block, None);
-    let mut reference = session(&idx, 2, 4, AdmissionPolicy::Block, None);
-    // The stall keeps worker 1 demonstrably alive while the crash and
-    // the batch queue behind it — the batch is always admitted to a
-    // doomed worker, never to one already healed.
-    svc.pool_mut()
-        .inject_fault(1, WorkerFault::Stall(Duration::from_millis(100)));
-    svc.pool_mut().inject_fault(1, WorkerFault::Crash);
-    let got = svc
-        .submit_many(&batch)
-        .expect("worker 1 alive at admission");
-    // Worker 1 died with the batch queued behind the crash: its column
-    // is lost, and every position fails typed (shard 0's fine answers
-    // cannot stand in for the missing shard).
-    for (qi, r) in got.responses.iter().enumerate() {
-        match r {
-            Err(ServeError::ShardFailed { shard, panic }) => {
-                assert_eq!(*shard, 1, "q{qi}: the lost column is shard 1's");
-                assert!(
-                    panic.contains("worker terminated before answering"),
-                    "q{qi}: {panic:?}"
-                );
-            }
-            other => panic!("q{qi}: lost column must fail typed, got {other:?}"),
-        }
-    }
-    assert_eq!(svc.stats().queries_failed, batch.len());
-    // The next submission heals: one respawn over the retained shard,
-    // the panic payload preserved in the log, and answers bit-identical
-    // to a never-faulted session.
-    let healed = svc.submit_many(&batch).expect("respawned pool admits");
+    let crashed = [1, 2, 3, 1];
+    let mut svc = session(&idx, 4, 4, AdmissionPolicy::Block, None);
+    let mut reference = session(&idx, 4, 4, AdmissionPolicy::Block, None);
     let want = reference.submit_many(&batch).expect("blocking admission");
-    for (qi, (g, w)) in healed
-        .expect_ok()
-        .iter()
-        .zip(want.expect_ok().iter())
-        .enumerate()
-    {
-        assert_eq!(g.top, w.top, "q{qi}: respawned worker diverged");
+    for (k, &crash) in crashed.iter().enumerate() {
+        // The stall keeps the worker demonstrably alive while the crash
+        // and the batch queue behind it — the batch is always admitted to
+        // a doomed worker, never to one already healed.
+        svc.pool_mut()
+            .inject_fault(crash, WorkerFault::Stall(Duration::from_millis(100)));
+        svc.pool_mut().inject_fault(crash, WorkerFault::Crash);
+        let got = svc
+            .submit_many(&batch)
+            .expect("the worker is alive at admission");
+        // The worker died with the batch queued behind the crash: its
+        // column is lost, and every position fails typed (the other
+        // shards' fine answers cannot stand in for the missing one).
+        for (qi, r) in got.responses.iter().enumerate() {
+            match r {
+                Err(ServeError::ShardFailed { shard, panic }) => {
+                    assert_eq!(*shard, crash, "crash {k} q{qi}: the lost column's shard");
+                    assert!(
+                        panic.contains("worker terminated before answering"),
+                        "crash {k} q{qi}: {panic:?}"
+                    );
+                }
+                other => panic!("crash {k} q{qi}: lost column must fail typed, got {other:?}"),
+            }
+        }
+        // The next submission heals: one respawn over the retained shard,
+        // and answers bit-identical to a never-faulted session.
+        let healed = svc.submit_many(&batch).expect("respawned pool admits");
+        for (qi, (g, w)) in healed
+            .expect_ok()
+            .iter()
+            .zip(want.expect_ok().iter())
+            .enumerate()
+        {
+            assert_eq!(
+                bits(&g.top),
+                bits(&w.top),
+                "crash {k} q{qi}: respawned worker diverged"
+            );
+        }
+        assert_eq!(
+            svc.pool().respawns(),
+            k + 1,
+            "crash {k}: one respawn per crash"
+        );
     }
-    assert_eq!(svc.pool().respawns(), 1);
-    assert_eq!(svc.stats().worker_respawns, 1);
-    assert_eq!(svc.pool().recoveries().len(), 1);
+    assert_eq!(svc.stats().queries_failed, crashed.len() * batch.len());
+    assert_eq!(svc.stats().worker_respawns, crashed.len());
+    assert_eq!(svc.pool().recoveries().len(), crashed.len());
+    // Each panic payload is preserved in the log, in crash order.
     let log = svc.pool().panic_log();
-    assert_eq!(log.len(), 1);
-    assert_eq!(log[0].shard, 1);
-    assert!(
-        log[0].message.contains("injected worker crash"),
-        "payload: {:?}",
-        log[0].message
-    );
+    assert_eq!(log.len(), crashed.len());
+    for (entry, &crash) in log.iter().zip(&crashed) {
+        assert_eq!(entry.shard, crash);
+        assert!(
+            entry.message.contains("injected worker crash"),
+            "payload: {:?}",
+            entry.message
+        );
+    }
     let outcome = svc.shutdown();
     assert!(
         !outcome.is_clean(),
         "the healed pool still reports its panic history"
     );
-    assert_eq!(outcome.shards.len(), 2, "both shards come back");
+    assert_eq!(outcome.panics.len(), crashed.len());
+    assert_eq!(outcome.shards.len(), 4, "every shard comes back");
 }
 
 #[test]

@@ -7,10 +7,13 @@
 //! and an FNV-1a digest over `(doc, score bits)` of every answer. The
 //! paths are `EngineSet::execute` for six physical plans, the pruned
 //! kernel started from the exact N-th score (`pruned_daat_oracle`: a gate
-//! first offered the exhaustive answer's N-th score), and the in-thread
-//! sharded schedule (`ShardedEngine::execute_batch_sequential`, 2 range
-//! shards, planned, propagation on), so a change that moves any counter
-//! or answer of any of them fails here with the lines that moved. The
+//! first offered the exhaustive answer's N-th score), the windowed kernel
+//! on every query (`pruned_windowed`: `pruned_daat` answers an all-short
+//! query with the short-run merge, so only this line sees the windows of
+//! such queries), and the in-thread sharded schedule
+//! (`ShardedEngine::execute_batch_sequential`, 2 range shards, planned,
+//! propagation on), so a change that moves any counter or answer of any
+//! of them fails here with the lines that moved. The
 //! last lines pin, per N, the pruned kernel's postings against the
 //! oracle-started kernel's: the work a better starting threshold could
 //! still save.
@@ -31,8 +34,8 @@ use std::sync::Arc;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
 use moa_ir::{
-    BoundGate, EngineSet, ExecReport, FragmentSpec, FragmentedIndex, InvertedIndex, PhysicalPlan,
-    RankingModel, SharedThreshold, Strategy, SwitchPolicy,
+    BoundGate, DaatSearcher, EngineSet, ExecReport, FragmentSpec, FragmentedIndex, InvertedIndex,
+    PhysicalPlan, QueryScratch, RankingModel, SharedThreshold, Strategy, SwitchPolicy,
 };
 use moa_serve::{BatchQuery, ServeMode, ShardSpec, ShardedEngine};
 
@@ -140,6 +143,8 @@ fn ledger() -> String {
         .expect("valid workload");
         for (model_name, model) in models() {
             let mut engines = EngineSet::new(Arc::clone(&frag), model, SwitchPolicy::default());
+            let daat = DaatSearcher::new(&index, model);
+            let mut scratch = QueryScratch::new();
             for (d, n) in DEPTHS.into_iter().enumerate() {
                 for plan in PLANS {
                     let mut cell = Cell::new();
@@ -175,6 +180,14 @@ fn ledger() -> String {
                 }
                 regret[d].1 += cell.work.postings_scanned;
                 cell.line(&mut out, class, model_name, n, "pruned_daat_oracle");
+                let mut cell = Cell::new();
+                for q in &queries {
+                    let report = daat
+                        .search_windowed_into(&q.terms, n, &BoundGate::none(), &mut scratch)
+                        .expect("generated terms are in the vocabulary");
+                    cell.fold(&report, &scratch.out);
+                }
+                cell.line(&mut out, class, model_name, n, "pruned_windowed");
                 // A fresh sharded engine per cell, so planner calibration
                 // never carries from one cell into the next.
                 let mut sharded = ShardedEngine::build(
