@@ -9,7 +9,10 @@
 //! optimizable as a set algebra.
 //!
 //! All four configurations produce identical rankings; only the work
-//! differs.
+//! differs. The element-at-a-time side is the exhaustive DAAT path, the
+//! document-ordered merge: it weighs every posting of the query's runs
+//! and offers the heap one document at a time, so its postings scanned
+//! equal the query terms' posting volume however the runs are decoded.
 
 use moa_ir::{DaatSearcher, ExecReport, FragmentSpec, Strategy, SwitchPolicy};
 
@@ -22,12 +25,13 @@ pub fn run(scale: Scale) -> Table {
     let frag = f.fragment(FragmentSpec::TermFraction(0.95));
     let policy = SwitchPolicy::default();
 
-    // Element-at-a-time: per-query posting cursors, exhaustive merge; its
-    // work totals are the same `ExecReport` counters every other path
-    // reports. (The bounds-pruned DAAT kernel is measured separately by
-    // `moabench`'s `operator.*` layer; here the unpruned cursor merge is
-    // the architectural reference whose work equals the query terms'
-    // posting volume.)
+    // Element-at-a-time: the exhaustive merge walks each query's weighed
+    // postings in document order, one document at a time; its work
+    // totals are the same `ExecReport` counters every other path reports.
+    // (The bounds-pruned DAAT kernel is measured separately by
+    // `moabench`'s `operator.*` layer; here the unpruned document-ordered
+    // merge is the architectural reference whose work equals the query
+    // terms' posting volume.)
     let daat = DaatSearcher::new(&f.index, f.model);
     let t0 = std::time::Instant::now();
     let mut daat_total = ExecReport::default();
@@ -71,7 +75,7 @@ pub fn run(scale: Scale) -> Table {
         used_b: 0,
     };
     t.row(vec![
-        "element-at-a-time (cursors)".into(),
+        "element-at-a-time (document-ordered merge)".into(),
         daat_scanned.to_string(),
         fmt_duration(daat_elapsed),
         format!("{:.4}", f.map(&daat_outcome)),

@@ -2,7 +2,7 @@
 //! executable).
 //!
 //! Before this layer, the four retrieval paths — MaxScore-pruned DAAT, the
-//! exhaustive cursor merge, the set-at-a-time engine, and the fragmented
+//! exhaustive exact merge, the set-at-a-time engine, and the fragmented
 //! scan strategies — were chosen *by hand* in each experiment. The planner
 //! makes strategy selection a first-class, cost-driven decision, in the
 //! Cascades spirit of separating the logical operator (`rank the

@@ -4,7 +4,7 @@
 //! contrast with the element-at-a-time operation of most IR systems, \[so\]
 //! IR technology and optimization techniques are not directly applicable in
 //! a content based retrieval DBMS."* This module implements that contrasted
-//! architecture — per-term posting cursors merged document-at-a-time, as
+//! architecture — per-term posting runs evaluated document-at-a-time, as
 //! INQUERY-class engines do — so the set-based/element-at-a-time gap can be
 //! measured (experiment E13) instead of asserted.
 //!
@@ -24,33 +24,32 @@
 //!    any weight of it is computed (`bound_exits`).
 //!
 //! **Dispatch.** A run is *short* when it holds at most `SEED_RUN_MAX` =
-//! 512 postings in the index being searched, which is the shard's own
-//! index when sharded. [`DaatSearcher::search_into`] looks at the run
-//! lengths alone, before anything builds the bound tables: a query with
+//! 512 postings in the index searched (the shard's own when sharded).
+//! [`DaatSearcher::search_into`] reads the run lengths alone: a query with
 //! N > 0, at least one term and only short runs is answered by the
-//! **short-run merge**; any other query takes the windowed kernel below,
-//! the only path that builds and reads the [`ScoreBounds`].
+//! **exact merge**; any other takes the windowed kernel below, the only
+//! path that builds and reads the [`ScoreBounds`].
 //!
-//! **One merge, two uses.** The short-run pass decodes each short run
-//! whole and weighs every posting through the shared
-//! [`crate::scorer::ScoreKernel`]; the merge walks the weighed runs in
-//! document order, adding each document's weights in query order,
-//! starting from 0.0.
+//! **One merge, three uses.** Runs are decoded and weighed through the
+//! shared [`crate::scorer::ScoreKernel`] into flat arrays, each closed by
+//! a sentinel; the merge walks them in document order, adding each
+//! document's weights in query order from 0.0: the addition sequence of
+//! every exact path, for every model.
 //!
-//! * *Every run short: the answer.* The merge has then read every posting
-//!   of every query term, so each document's sum is its exact score, built
-//!   by the same addition sequence as [`DaatSearcher::search_exhaustive`]
-//!   (one weight per matching query position, in query order, from 0.0).
-//!   That holds for every model, negative weights included. Each
-//!   `(doc, sum)` enters the heap in document order, as the exhaustive
-//!   merge's do, so ties break the same way. On runs this short a bound
-//!   has nothing to prune: this is the paper's set-based side winning
-//!   where it should. The deadline is polled before the decode and at
-//!   every document; expiry truncates and leaves exact scores. The final
-//!   N-th score is published to the gate, so a peer shard still in its
-//!   windows prunes on it. Every weight counts in `postings_scanned`, and
-//!   `docs_skipped`, `seeks` and `bound_exits` stay 0.
-//! * *A run is long: the seed.* The sums are lower bounds, and the N-th
+//! * *The exhaustive plan* ([`DaatSearcher::search_exhaustive`]) merges
+//!   every run: whole when all are short, else one [`WINDOW`] of document
+//!   ids at a time, decoding the blocks that overlap it through each
+//!   term's cursor (a block straddling the window's end stays decoded),
+//!   so the arrays hold at most `m × WINDOW` postings. Sums enter the heap
+//!   in document order. The deadline is polled before every window and at
+//!   every document, so expiry leaves exact scores over a document-id
+//!   prefix, and the final N-th score is published to the gate.
+//!   `postings_scanned` is the volume; skips, seeks and exits stay 0.
+//! * *Every run short:* the dispatch sends the pruned query to the same
+//!   whole-run merge (`short_merged`). On runs this short a bound has
+//!   nothing to prune: the paper's set-based side winning where it should.
+//! * *A run is long: the seed.* The windowed kernel merges its short runs
+//!   alone. The sums are lower bounds, and the N-th
 //!   largest of them is the **seed**, a starting threshold so the query
 //!   need not start at −∞. This is the paper's No-Random-Access
 //!   bookkeeping (a lower bound per object from the lists read so far).
@@ -77,20 +76,14 @@
 //!
 //! **Where the bounds come from.** The windowed kernel reads, per query
 //! term, an exact maximum weight and one [`BlockBound`] per storage
-//! block. A long run's come from the [`ScoreBounds`] table, which holds
-//! the long runs alone and is built once per index, lazily, by the first
-//! windowed query; a query finds each long term there by one binary
-//! search. A short run has no table entry: the short-run pass builds its
-//! bounds per query, from the very weights it computes for the merge,
-//! with the table's own builder (`block_bound`), so they are the same
-//! bits. One decode pass therefore feeds both the short terms' bounds and
-//! the seed. It runs for every windowed query, also when the seed does
-//! not apply (a model that can weigh below zero, or fewer than N short
-//! postings): then it builds the bounds alone, at most `m × 512` weights.
-//! It is setup work like the seed, timed in the gate pass and not counted
-//! in `postings_scanned`. Each `TermMeta` says which array holds its
-//! bounds, and every pruning site below reads them through one accessor
-//! (`TermMeta::block_bounds`).
+//! block. A long run's come from the [`ScoreBounds`] table of long runs,
+//! built once per index by the first windowed query and binary-searched
+//! per term. A short run's are built per query by the short-run pass,
+//! from the weights it computes for the seed, with the table's own
+//! builder (`block_bound`), so they are the same bits. The pass runs for
+//! every windowed query, seed or not, and like the seed is setup work:
+//! timed in the gate pass, not counted in `postings_scanned`. Every
+//! pruning site reads the bounds through `TermMeta::block_bounds`.
 //!
 //! The kernel runs in two phases. **Phase 1** is a plain cursor merge that
 //! fills the heap (no bound can prune while it has room). **Phase 2** — the
@@ -122,29 +115,23 @@
 //! seed argument above holds at every one of them.
 //!
 //! The pruning metadata is **colocated with the storage**: each
-//! 128-posting storage block has one [`BlockBound`] (`last_doc` + exact
-//! block-max score + eight 4-bit quantized mini-block maxima) in a
-//! contiguous per-term array, so a window gate reads a few
-//! 16-byte records per term — and a rejected window's packed payload is
-//! never decoded at all. The mini-block maxima become the candidates' lane
-//! bounds, which stay discriminating on long runs where whole-block maxima
-//! approach the term maxima.
+//! 128-posting block has one 16-byte [`BlockBound`] (`last_doc`, exact
+//! block maximum, eight 4-bit mini-block maxima) in a per-term array, so a
+//! window gate reads a few records per term and a rejected window's
+//! payload is never decoded. The mini-block maxima become the lane bounds,
+//! which stay discriminating where block maxima approach term maxima.
 //!
-//! Results are **bit-exact** with the exhaustive merge
-//! ([`DaatSearcher::search_exhaustive`]) and with the set-at-a-time
-//! evaluator: per-document contributions are summed in original query-term
-//! order, and all paths share the [`crate::scorer::ScoreKernel`] so every
-//! weight is the identical `f64`. Only the work differs — `postings_scanned`
-//! (postings whose weight was computed) shrinks, and every other posting of
-//! the query's runs is counted in `docs_skipped`.
+//! Results are **bit-exact** with the exact merge and the set-at-a-time
+//! evaluator: contributions are summed in query order, and every weight
+//! comes from the shared kernel. Only the work differs: `postings_scanned`
+//! (weights computed) shrinks, and every other posting of the query's runs
+//! counts in `docs_skipped`.
 //!
 //! Every entry point returns an [`ExecReport`]. The `_into` entry points
-//! ([`DaatSearcher::search_into`], [`DaatSearcher::search_exhaustive_into`])
 //! run on a caller-owned [`QueryScratch`] and leave the ranking in
-//! `scratch.out`, so the report they return has an empty `top`: after the
-//! first query at a given shape they perform **zero heap allocations**
-//! (see `crates/ir/tests/alloc_steady_state.rs`); the window lanes grow
-//! on the first window a shape decodes and are kept.
+//! `scratch.out` (the report's `top` is empty): after the first query at
+//! a given shape they perform **zero heap allocations**
+//! (`crates/ir/tests/alloc_steady_state.rs`).
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -157,8 +144,10 @@ use crate::error::Result;
 use crate::index::InvertedIndex;
 use crate::physical::ExecReport;
 use crate::ranking::RankingModel;
-use crate::scorer::{block_bound, weigh_block, BlockBound, ScoreBounds, ScoreKernel, SEED_RUN_MAX};
-use crate::scratch::{BoundsIn, NeBound, QueryScratch, SeedLanes, ShortRuns, TermMeta};
+use crate::scorer::{
+    block_bound, weigh_block, BlockBound, ScoreBounds, ScoreKernel, TermScorer, SEED_RUN_MAX,
+};
+use crate::scratch::{BoundsIn, NeBound, QueryScratch, TermMeta, WeighedRuns};
 use crate::threshold::BoundGate;
 
 /// Document ids per window of the pruned phase. A window's lanes are
@@ -319,32 +308,27 @@ fn fill_lanes(
 }
 
 /// The short-run pass (see the module docs): decodes every run of `metas`
-/// of at most [`SEED_RUN_MAX`] postings whole, weighing each posting
-/// through the shared kernel, into `runs` — run after run, each closed by
-/// a sentinel no document id reaches (the cursors' own "exhausted" mark),
+/// (in query order) of at most [`SEED_RUN_MAX`] postings whole into
+/// `runs`, weighed, each run closed by a sentinel no document id reaches,
 /// so the merge walk needs no end test. With `bound`, it also builds each
-/// short term's bounds into `runs.bounds` from those weights and points
-/// the term's meta there: its exact maximum weight and one
-/// [`BlockBound`] per storage block, by the builder the table uses.
-/// `metas` is in query order. Returns the postings weighed.
+/// short term's bounds into `runs.bounds` from those weights, by the
+/// table's builder, and points the term's meta there. Returns the
+/// postings weighed.
 fn weigh_short_runs(
     kernel: &ScoreKernel,
     blocks: &BlockPostingList,
     metas: &mut [TermMeta],
     buf: &mut CursorBuf,
-    runs: &mut ShortRuns,
+    runs: &mut WeighedRuns,
     bound: bool,
 ) -> usize {
-    let ShortRuns {
+    runs.clear();
+    let WeighedRuns {
         docs,
         weights,
         heads,
         bounds,
     } = runs;
-    docs.clear();
-    weights.clear();
-    heads.clear();
-    bounds.clear();
     let mut weighed = 0usize;
     for meta in metas.iter_mut() {
         let view = blocks.view(meta.term);
@@ -378,20 +362,63 @@ fn weigh_short_runs(
     weighed
 }
 
-/// The merge the seed pass and the all-short path share (see the module
-/// docs): walks the runs [`weigh_short_runs`] left in `runs` in document
-/// order. `visit(doc, sum)` is called once per distinct document,
-/// ascending, where `sum` adds the document's weights in query order
-/// starting from 0.0. A `visit` that returns `false` stops the walk.
-fn merge_short_runs(runs: &mut ShortRuns, mut visit: impl FnMut(u32, f64) -> bool) {
-    let ShortRuns {
+/// The exact merge's window step for one run: weighs the postings from
+/// the cursor up to document `end` (exclusive) into `runs`, then the
+/// sentinel, and returns their count. A block is decoded whole on entry,
+/// so one straddling `end` is decoded once for both windows.
+fn weigh_window(
+    kernel: &ScoreKernel,
+    scorer: &TermScorer,
+    view: &TermView<'_>,
+    pos: &mut CursorPos,
+    buf: &mut CursorBuf,
+    end: u32,
+    runs: &mut WeighedRuns,
+) -> usize {
+    let start = pos.base + pos.idx;
+    while let Some(h) = view.headers().get(pos.block) {
+        if pos.idx == 0 {
+            if h.first_doc >= end {
+                break;
+            }
+            view.decode_docs(pos.block, buf);
+            view.decode_tfs(pos.block, buf);
+        }
+        let len = usize::from(h.len);
+        let docs = &buf.docs[pos.idx..len];
+        let take = if h.last_doc < end {
+            docs.len()
+        } else {
+            docs.partition_point(|&d| d < end)
+        };
+        for (&doc, &tf) in docs[..take].iter().zip(&buf.tfs[pos.idx..]) {
+            runs.docs.push(doc);
+            runs.weights.push(kernel.weight(scorer, tf, doc));
+        }
+        pos.idx += take;
+        if pos.idx < len {
+            break;
+        }
+        pos.base += len;
+        pos.block += 1;
+        pos.idx = 0;
+    }
+    runs.docs.push(u32::MAX);
+    runs.weights.push(0.0);
+    pos.base + pos.idx - start
+}
+
+/// The one merge (see the module docs): walks the runs in `runs` in
+/// document order. `visit(doc, sum)` is called once per distinct
+/// document, ascending, where `sum` adds the document's weights in query
+/// order starting from 0.0. A `visit` that returns `false` stops the walk.
+fn merge_runs(runs: &mut WeighedRuns, mut visit: impl FnMut(u32, f64) -> bool) {
+    let WeighedRuns {
         docs,
         weights,
         heads,
         ..
     } = runs;
-    // Each document's weights are added in query order, starting from
-    // 0.0, as its exact score is.
     loop {
         let doc = heads.iter().map(|&h| docs[h]).min().unwrap_or(u32::MAX);
         if doc == u32::MAX {
@@ -410,20 +437,34 @@ fn merge_short_runs(runs: &mut ShortRuns, mut visit: impl FnMut(u32, f64) -> boo
     }
 }
 
+/// Offers every `(doc, sum)` of `runs` to the heap in document order,
+/// polling the deadline at each document; `false` once it expired.
+fn merge_exact(runs: &mut WeighedRuns, heap: &mut TopNHeap, gate: &BoundGate) -> bool {
+    let mut live = true;
+    merge_runs(runs, |doc, sum| {
+        live = !gate.expired();
+        if live {
+            heap.push(doc, sum);
+        }
+        live
+    });
+    live
+}
+
 /// The seed pass: a lower bound on the query's N-th score read from its
 /// short runs alone (see the module docs), or `None` when the pass does
 /// not apply — `n` is 0, the model can produce a negative weight, the
 /// query has no run longer than [`SEED_RUN_MAX`], its short runs hold
 /// fewer than `n` postings or fewer than `n` distinct documents. Merges
-/// the runs [`weigh_short_runs`] left in `lanes`; `metas` is in query
-/// order. Not deadline-polled: it reads at most `m × SEED_RUN_MAX`
-/// postings.
+/// the runs [`weigh_short_runs`] left in `runs` into `sums`. Not
+/// deadline-polled: it reads at most `m × SEED_RUN_MAX` postings.
 fn seed_threshold(
     kernel: &ScoreKernel,
     blocks: &BlockPostingList,
     metas: &[TermMeta],
     n: usize,
-    lanes: &mut SeedLanes,
+    runs: &mut WeighedRuns,
+    sums: &mut Vec<f64>,
 ) -> Option<f64> {
     if n == 0 || !kernel.model().nonnegative_weights() {
         return None;
@@ -441,9 +482,8 @@ fn seed_threshold(
     if !long || short < n {
         return None;
     }
-    let SeedLanes { runs, sums } = lanes;
     sums.clear();
-    merge_short_runs(runs, |_, sum| {
+    merge_runs(runs, |_, sum| {
         sums.push(sum);
         true
     });
@@ -518,7 +558,7 @@ impl<'a> DaatSearcher<'a> {
         table: &ScoreBounds,
         metas: &mut Vec<TermMeta>,
         bufs: &mut [CursorBuf],
-        runs: &mut ShortRuns,
+        runs: &mut WeighedRuns,
     ) -> Result<()> {
         self.push_metas(terms, metas)?;
         for meta in metas.iter_mut() {
@@ -548,13 +588,13 @@ impl<'a> DaatSearcher<'a> {
         let table = self.bounds();
         scratch.begin(terms.len(), 0);
         let QueryScratch {
-            metas, bufs, seed, ..
+            metas, bufs, runs, ..
         } = scratch;
-        self.bounded_metas(terms, table, metas, bufs, &mut seed.runs)?;
+        self.bounded_metas(terms, table, metas, bufs, runs)?;
         Ok(metas
             .iter()
             .map(|meta| {
-                let bb = meta.block_bounds(table, &seed.runs.bounds);
+                let bb = meta.block_bounds(table, &runs.bounds);
                 (meta.max_weight, bb.to_vec())
             })
             .collect())
@@ -567,22 +607,24 @@ impl<'a> DaatSearcher<'a> {
     pub fn seed(&self, terms: &[u32], n: usize, scratch: &mut QueryScratch) -> Result<Option<f64>> {
         scratch.begin(terms.len(), n);
         let QueryScratch {
-            metas, bufs, seed, ..
+            metas,
+            bufs,
+            runs,
+            sums,
+            ..
         } = scratch;
         self.push_metas(terms, metas)?;
         let blocks = self.index.blocks();
         if let Some(buf) = bufs.first_mut() {
-            weigh_short_runs(&self.kernel, blocks, metas, buf, &mut seed.runs, false);
+            weigh_short_runs(&self.kernel, blocks, metas, buf, runs, false);
         }
-        Ok(seed_threshold(&self.kernel, blocks, metas, n, seed))
+        Ok(seed_threshold(&self.kernel, blocks, metas, n, runs, sums))
     }
 
     /// Evaluate a query document-at-a-time, returning the top `n`: by the
-    /// short-run merge when every run is short, else with MaxScore
-    /// pruning. Bit-exact with [`DaatSearcher::search_exhaustive`]; the
-    /// pruned kernel does less work whenever the heap threshold
-    /// disqualifies low-bound terms. Allocating convenience wrapper over
-    /// [`DaatSearcher::search_into`].
+    /// exact merge when every run is short, else with MaxScore pruning,
+    /// bit-exact with [`DaatSearcher::search_exhaustive`] either way.
+    /// Allocating convenience wrapper over [`DaatSearcher::search_into`].
     pub fn search(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();
         let report = self.search_into(terms, n, &BoundGate::none(), &mut scratch)?;
@@ -593,15 +635,12 @@ impl<'a> DaatSearcher<'a> {
     }
 
     /// The pruned DAAT kernel on a caller-owned [`QueryScratch`]: the top
-    /// `n` lands in `scratch.out` (best first) and the counters come back
-    /// in a report whose `top` is empty. Steady-state calls (same or
-    /// smaller query shape as previously seen by this scratch) perform
-    /// zero heap allocations.
+    /// `n` lands in `scratch.out` (best first), the report's `top` is
+    /// empty, and steady-state calls perform zero heap allocations.
     ///
     /// A query with `n > 0`, at least one term and every run short is
-    /// answered by the short-run merge (see the module docs), which builds
-    /// no bound table, prunes nothing and publishes its final N-th score
-    /// to `gate`. Any other query runs the MaxScore + block-max windowed
+    /// answered by the exact merge (see the module docs), which builds no
+    /// bound table. Any other query runs the MaxScore + block-max windowed
     /// kernel, where every pruning gate additionally consults `gate`
     /// (documents whose bound falls strictly below the propagated global
     /// threshold are skipped even while the local heap still has room for
@@ -622,21 +661,20 @@ impl<'a> DaatSearcher<'a> {
     ) -> Result<ExecReport> {
         // Dispatch on the run lengths alone, before anything builds the
         // bound tables: an all-short query never needs them.
-        let mut short = n > 0 && !terms.is_empty();
-        for &t in terms {
-            short &= self.index.run_len(t)? <= SEED_RUN_MAX;
-        }
-        if short {
-            self.search_short(terms, n, gate, scratch)
+        if self.all_short(terms)? && n > 0 && !terms.is_empty() {
+            let report = self.exact_merge::<WINDOW>(terms, n, gate, scratch, true, || {})?;
+            Ok(ExecReport {
+                short_merged: 1,
+                ..report
+            })
         } else {
             self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
         }
     }
 
-    /// The windowed kernel alone, whatever the query's run lengths: the
-    /// entry the tests of its pruning, windows, lanes and probes call,
-    /// since [`DaatSearcher::search_into`] answers an all-short query
-    /// with the short-run merge. Exposed for the tests only.
+    /// The windowed kernel alone, whatever the run lengths, for the tests
+    /// of its pruning, windows, lanes and probes: [`DaatSearcher::search_into`]
+    /// answers an all-short query with the exact merge.
     #[doc(hidden)]
     pub fn search_windowed_into(
         &self,
@@ -646,73 +684,6 @@ impl<'a> DaatSearcher<'a> {
         scratch: &mut QueryScratch,
     ) -> Result<ExecReport> {
         self.search_windowed::<WINDOW>(terms, n, gate, scratch, || {})
-    }
-
-    /// The all-short path: the short-run merge's sums are exact scores
-    /// and enter the heap in document order (see the module docs). The
-    /// exhaustive cursor merge computes the same sums, but stepping m
-    /// block cursors posting by posting is slower than decoding each run
-    /// whole and walking flat arrays (DESIGN.md gives the A/B).
-    fn search_short(
-        &self,
-        terms: &[u32],
-        n: usize,
-        gate: &BoundGate,
-        scratch: &mut QueryScratch,
-    ) -> Result<ExecReport> {
-        let t_gate_pass = Instant::now();
-        let blocks = self.index.blocks();
-        scratch.begin(terms.len(), n);
-        let QueryScratch {
-            metas,
-            bufs,
-            seed,
-            heap,
-            out,
-            phases,
-            ..
-        } = scratch;
-        self.push_metas(terms, metas)?;
-        phases.add(Phase::GatePass, t_gate_pass.elapsed());
-
-        // The merge decodes and scores every posting, so like the
-        // exhaustive merge it is one decode span.
-        let t_decode = Instant::now();
-        let mut partial = gate.expired();
-        let postings_scanned = if partial {
-            0
-        } else {
-            let weighed = weigh_short_runs(
-                &self.kernel,
-                blocks,
-                metas,
-                &mut bufs[0],
-                &mut seed.runs,
-                false,
-            );
-            merge_short_runs(&mut seed.runs, |doc, score| {
-                partial = gate.expired();
-                if !partial {
-                    heap.push(doc, score);
-                }
-                !partial
-            });
-            weighed
-        };
-        phases.add(Phase::Decode, t_decode.elapsed());
-
-        let t_merge = Instant::now();
-        gate.publish(heap);
-        let stats = ExecReport {
-            postings_scanned,
-            candidates: heap.pushes(),
-            partial,
-            short_merged: 1,
-            ..ExecReport::default()
-        };
-        heap.extract_sorted_into(out);
-        phases.add(Phase::Merge, t_merge.elapsed());
-        Ok(stats)
     }
 
     /// [`DaatSearcher::search_into`] with the phase-2 window width `W` as a
@@ -744,7 +715,8 @@ impl<'a> DaatSearcher<'a> {
             cur,
             contrib,
             prefix_bound,
-            seed,
+            runs,
+            sums,
             heap,
             phases,
             ..
@@ -752,8 +724,8 @@ impl<'a> DaatSearcher<'a> {
 
         // The seed reads the metas in query order, before the sort, and
         // merges the runs the bound pass just weighed.
-        self.bounded_metas(terms, bounds, metas, bufs, &mut seed.runs)?;
-        let floor = seed_threshold(&self.kernel, blocks, metas, n, seed);
+        self.bounded_metas(terms, bounds, metas, bufs, runs)?;
+        let floor = seed_threshold(&self.kernel, blocks, metas, n, runs, sums);
         if let Some(s) = floor {
             gate.publish_score(s);
         }
@@ -877,11 +849,11 @@ impl<'a> DaatSearcher<'a> {
             lane_tf,
             lane_bits,
             lane_bound,
-            seed,
+            runs,
             heap,
             ..
         } = scratch;
-        let query_bounds = &seed.runs.bounds[..];
+        let query_bounds = &runs.bounds[..];
         let m = metas.len();
         let deadline = gate.deadline();
         // Phase 1 published after every push, and the seed was offered
@@ -1103,12 +1075,10 @@ impl<'a> DaatSearcher<'a> {
         }
     }
 
-    /// Evaluate a query document-at-a-time with the plain exhaustive
-    /// cursor merge — every posting of every query term is consumed. The
-    /// unpruned baseline `moabench` measures [`Self::search`] against
-    /// (`operator.exhaustive_daat_us_p50`), and the element-at-a-time work
-    /// reference of E13.
-    /// Allocating wrapper over [`DaatSearcher::search_exhaustive_into`].
+    /// Evaluate a query with the exact merge, weighing every posting: the
+    /// unpruned baseline of `moabench`'s `operator.exhaustive_daat_us_p50`
+    /// and E13's element-at-a-time work reference. Allocating wrapper over
+    /// [`DaatSearcher::search_exhaustive_into`].
     pub fn search_exhaustive(&self, terms: &[u32], n: usize) -> Result<ExecReport> {
         let mut scratch = QueryScratch::new();
         let report = self.search_exhaustive_into(terms, n, &BoundGate::none(), &mut scratch)?;
@@ -1118,12 +1088,9 @@ impl<'a> DaatSearcher<'a> {
         })
     }
 
-    /// The exhaustive cursor merge on a caller-owned scratch: the top `n`
-    /// lands in `scratch.out` and the report's `top` is empty. Never
-    /// triggers the lazy [`ScoreBounds`] build — the plain merge needs no
-    /// bound tables. It cannot prune on `gate`'s threshold, but it polls
-    /// the gate's per-query deadline at each candidate boundary and
-    /// truncates honestly once the budget is spent.
+    /// The exact merge (see the module docs) on a caller-owned scratch:
+    /// the top `n` lands in `scratch.out` and the report's `top` is empty.
+    /// It builds no bound table and cannot prune on `gate`.
     pub fn search_exhaustive_into(
         &self,
         terms: &[u32],
@@ -1131,65 +1098,96 @@ impl<'a> DaatSearcher<'a> {
         gate: &BoundGate,
         scratch: &mut QueryScratch,
     ) -> Result<ExecReport> {
+        let short = self.all_short(terms)?;
+        self.exact_merge::<WINDOW>(terms, n, gate, scratch, short, || {})
+    }
+
+    /// Whether every run of `terms` is short: at most [`SEED_RUN_MAX`]
+    /// postings in the index searched.
+    fn all_short(&self, terms: &[u32]) -> Result<bool> {
+        let mut short = true;
+        for &t in terms {
+            short &= self.index.run_len(t)? <= SEED_RUN_MAX;
+        }
+        Ok(short)
+    }
+
+    /// The exact merge: with `short` (every run short) one pass over the
+    /// whole runs, else windows of `W` ids with `on_window` called before
+    /// each window's deadline poll; either body answers any query exactly.
+    /// The unit tests run narrow windows and expire deadlines from the hook.
+    fn exact_merge<const W: usize>(
+        &self,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+        short: bool,
+        mut on_window: impl FnMut(),
+    ) -> Result<ExecReport> {
         let t_gate_pass = Instant::now();
         let blocks = self.index.blocks();
-        let m = terms.len();
-        scratch.begin(m, n);
+        scratch.begin(terms.len(), n);
         let QueryScratch {
             metas,
             pos,
             bufs,
             cur,
+            runs,
             heap,
             out,
             phases,
             ..
         } = scratch;
-        // States stay in query order, so the addition order matches the
-        // naive paths.
+        // Metas stay in query order: the addition order of every exact path.
         self.push_metas(terms, metas)?;
-        for i in 0..m {
-            let view = blocks.view(metas[i].term);
-            let p = view.start(&mut bufs[i]);
-            cur.push(view.doc_at(&p, &bufs[i]).unwrap_or(u32::MAX));
-            pos.push(p);
-        }
         phases.add(Phase::GatePass, t_gate_pass.elapsed());
 
-        let mut stats = ExecReport::default();
-        // The exhaustive merge has no pruned-scan stage: every posting is
-        // decoded and scored, so the whole loop is one decode span.
+        // Every posting is decoded and weighed: one decode span.
         let t_decode = Instant::now();
-        loop {
-            let next_doc = cur.iter().copied().min().unwrap_or(u32::MAX);
-            if next_doc == u32::MAX {
-                break; // all cursors exhausted
+        let mut stats = ExecReport::default();
+        if gate.expired() {
+            stats.partial = true;
+        } else if let (true, Some(buf)) = (short, bufs.first_mut()) {
+            stats.postings_scanned =
+                weigh_short_runs(&self.kernel, blocks, metas, buf, runs, false);
+            stats.partial = !merge_exact(runs, heap, gate);
+        } else {
+            for (meta, buf) in metas.iter().zip(bufs.iter_mut()) {
+                let view = blocks.view(meta.term);
+                let p = view.start(buf);
+                cur.push(view.doc_at(&p, buf).unwrap_or(u32::MAX));
+                pos.push(p);
             }
-            // Deadline poll at the candidate boundary — the exhaustive
-            // merge degrades to a document-id-prefix evaluation.
-            if gate.expired() {
-                stats.partial = true;
-                break;
-            }
-            // Accumulate this document's score from every matching cursor
-            // and advance those cursors (element-at-a-time).
-            let mut score = 0.0f64;
-            for i in 0..m {
-                if cur[i] == next_doc {
-                    let meta = metas[i];
-                    let view = blocks.view(meta.term);
-                    let tf = view.tf_at(&mut pos[i], &mut bufs[i]);
-                    score += self.kernel.weight(&meta.scorer, tf, next_doc);
-                    view.advance(&mut pos[i], &mut bufs[i]);
-                    cur[i] = view.doc_at(&pos[i], &bufs[i]).unwrap_or(u32::MAX);
-                    stats.postings_scanned += 1;
+            // From the smallest cursor: the arrays hold at most m × W postings.
+            while let Some(lo) = cur.iter().copied().min().filter(|&d| d != u32::MAX) {
+                on_window();
+                if gate.expired() {
+                    stats.partial = true;
+                    break;
+                }
+                let end = lo.saturating_add(W as u32);
+                runs.clear();
+                for (i, meta) in metas.iter().enumerate() {
+                    if cur[i] < end {
+                        let view = blocks.view(meta.term);
+                        runs.heads.push(runs.docs.len());
+                        let (p, buf) = (&mut pos[i], &mut bufs[i]);
+                        stats.postings_scanned +=
+                            weigh_window(&self.kernel, &meta.scorer, &view, p, buf, end, runs);
+                        cur[i] = view.doc_at(p, buf).unwrap_or(u32::MAX);
+                    }
+                }
+                if !merge_exact(runs, heap, gate) {
+                    stats.partial = true;
+                    break;
                 }
             }
-            heap.push(next_doc, score);
         }
         phases.add(Phase::Decode, t_decode.elapsed());
 
         let t_merge = Instant::now();
+        gate.publish(heap);
         stats.candidates = heap.pushes();
         heap.extract_sorted_into(out);
         phases.add(Phase::Merge, t_merge.elapsed());
@@ -1223,7 +1221,7 @@ mod tests {
     /// The windowed kernel at the production width, whatever the run
     /// lengths, with the ranking in the report: `search` without the
     /// dispatch. Every run of the tiny preset is short, so `search` would
-    /// answer its queries with the short-run merge.
+    /// answer its queries with the exact merge.
     fn windowed(daat: &DaatSearcher<'_>, terms: &[u32], n: usize) -> ExecReport {
         let mut scratch = QueryScratch::new();
         let report = daat
@@ -1598,6 +1596,100 @@ mod tests {
                             // The last sync follows the last window.
                             assert_eq!(scratch.out, full_top, "{ctx}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        top.iter()
+            .map(|&(doc, score)| (doc, score.to_bits()))
+            .collect()
+    }
+
+    /// Run the exact merge at the narrow width, windows forced, counting
+    /// the windows.
+    fn narrow_exact(
+        daat: &DaatSearcher<'_>,
+        terms: &[u32],
+        n: usize,
+        gate: &BoundGate,
+        scratch: &mut QueryScratch,
+    ) -> (ExecReport, usize) {
+        let mut windows = 0usize;
+        let stats = daat
+            .exact_merge::<NARROW>(terms, n, gate, scratch, false, || windows += 1)
+            .unwrap();
+        (stats, windows)
+    }
+
+    #[test]
+    fn narrow_exact_merge_windows_match_set_at_a_time() {
+        let (idx, queries) = multi_window_fixture();
+        let mut max_windows = 0usize;
+        for model in models() {
+            let daat = DaatSearcher::new(&idx, model);
+            let mut saat = Searcher::new(&idx, model);
+            let mut scratch = QueryScratch::new();
+            for terms in &queries {
+                let volume: usize = terms.iter().map(|&t| idx.df(t).unwrap() as usize).sum();
+                let matched = saat.search(terms, idx.num_docs()).unwrap().top.len();
+                for n in [1usize, 10, 100, 1000] {
+                    let (stats, windows) =
+                        narrow_exact(&daat, terms, n, &BoundGate::none(), &mut scratch);
+                    max_windows = max_windows.max(windows);
+                    let ctx = format!("{model:?} {terms:?} n={n}");
+                    assert_eq!(scratch.out, saat.search(terms, n).unwrap().top, "{ctx}");
+                    assert_eq!(stats.postings_scanned, volume, "{ctx}");
+                    assert_eq!(stats.docs_skipped + stats.seeks + stats.bound_exits, 0);
+                    assert_eq!(stats.candidates, matched, "{ctx}");
+                    assert!(!stats.partial);
+                }
+            }
+        }
+        assert!(
+            max_windows >= 10,
+            "fixture crossed at most {max_windows} windows"
+        );
+    }
+
+    #[test]
+    fn deadline_at_every_window_of_the_exact_merge_yields_exact_partials() {
+        let (idx, queries) = multi_window_fixture();
+        for model in models() {
+            let daat = DaatSearcher::new(&idx, model);
+            let mut saat = Searcher::new(&idx, model);
+            let mut scratch = QueryScratch::new();
+            for terms in queries.iter().take(4) {
+                // Every matched document with its exact score, ascending
+                // by id.
+                let mut exact = saat.search(terms, idx.num_docs()).unwrap().top;
+                exact.sort_unstable_by_key(|&(doc, _)| doc);
+                for n in [10usize, 100] {
+                    let (_, windows) =
+                        narrow_exact(&daat, terms, n, &BoundGate::none(), &mut scratch);
+                    for k in 1..=windows {
+                        let deadline = Arc::new(DeadlineGate::after(Duration::from_secs(3600)));
+                        let gate = BoundGate::none().with_deadline(Arc::clone(&deadline));
+                        let mut seen = 0usize;
+                        let stats = daat
+                            .exact_merge::<NARROW>(terms, n, &gate, &mut scratch, false, || {
+                                seen += 1;
+                                if seen == k {
+                                    deadline.force_expire();
+                                }
+                            })
+                            .unwrap();
+                        let ctx = format!("{model:?} {terms:?} n={n} expired at window {k}");
+                        assert!(stats.partial, "{ctx}");
+                        assert_eq!(seen, k, "{ctx}: no window after the expired poll");
+                        // The heap saw exactly the first `candidates`
+                        // documents: its top is theirs, bit for bit.
+                        let mut prefix = exact[..stats.candidates].to_vec();
+                        prefix.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                        prefix.truncate(n);
+                        assert_eq!(bits(&scratch.out), bits(&prefix), "{ctx}");
                     }
                 }
             }

@@ -4,7 +4,7 @@
 //! The paper's Step 3 asks for a *centralized* cost model that picks the
 //! execution strategy. That is only possible when the strategies are
 //! interchangeable — the MaxScore-pruned DAAT kernel, the exhaustive
-//! cursor merge, the set-at-a-time [`crate::eval::Searcher`] path, and the
+//! exact merge, the set-at-a-time [`crate::eval::Searcher`] path, and the
 //! fragmented [`FragSearcher`] — and report their work in one shape:
 //!
 //! * [`PhysicalPlan`] names every physical alternative (the Cascades-style
@@ -39,7 +39,7 @@ use crate::threshold::BoundGate;
 pub enum PhysicalPlan {
     /// MaxScore + block-max pruned document-at-a-time evaluation.
     PrunedDaat,
-    /// The plain exhaustive cursor merge.
+    /// The exact merge of every posting, in document order.
     ExhaustiveDaat,
     /// Set-at-a-time accumulation over the element-addressable index.
     SetAtATime,

@@ -216,7 +216,8 @@ pub(crate) const SEED_RUN_MAX: usize = 512;
 /// The one weighing loop: decode block `b` of `view` into `buf` and call
 /// `visit(doc, weight)` for each of its postings, in block order. Every
 /// path that reads a whole run's weights — the bound table, the per-query
-/// short-run bounds and the short-run merge — weighs through it.
+/// short-run bounds and the exact merge of all-short runs — weighs
+/// through it.
 #[inline]
 pub(crate) fn weigh_block(
     kernel: &ScoreKernel,

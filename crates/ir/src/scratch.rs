@@ -36,7 +36,7 @@ use crate::scorer::{BlockBound, ScoreBounds, TermScorer};
 pub(crate) enum BoundsIn {
     /// The long-run table, [`ScoreBounds`].
     Table,
-    /// The query's own short-run bounds, [`ShortRuns::bounds`].
+    /// The query's own short-run bounds, [`WeighedRuns::bounds`].
     Query,
 }
 
@@ -67,7 +67,7 @@ pub(crate) struct TermMeta {
 impl TermMeta {
     /// This term's block bounds, one per storage block of its run: the
     /// one accessor every pruning site reads them through. `table` is the
-    /// long-run table and `query` the query's [`ShortRuns::bounds`].
+    /// long-run table and `query` the query's [`WeighedRuns::bounds`].
     #[inline]
     pub fn block_bounds<'b>(
         &self,
@@ -96,32 +96,32 @@ pub(crate) struct NeBound {
     pub prefix: f64,
 }
 
-/// The query's short runs, decoded and weighed whole in one pass that
-/// feeds the short-run merge (the seed pass and the all-short path) and,
-/// on the windowed path, the short terms' bounds (see the `daat` module
-/// docs).
+/// Runs decoded and weighed into flat arrays, run after run, for the
+/// document-ordered merge (see the `daat` module docs): the query's short
+/// runs whole (the seed pass, and the short terms' bounds on the windowed
+/// path), or one window of every run (the exact merge).
 #[derive(Debug, Default)]
-pub(crate) struct ShortRuns {
-    /// Every short run's document ids, run after run in query order, each
-    /// run closed by a `u32::MAX` sentinel.
+pub(crate) struct WeighedRuns {
+    /// Every run's document ids, run after run in query order, each run
+    /// closed by a `u32::MAX` sentinel.
     pub docs: Vec<u32>,
     /// The weight of each entry of `docs`, at the same index.
     pub weights: Vec<f64>,
-    /// Per short run, its merge head in `docs`.
+    /// Per run, its merge head in `docs`.
     pub heads: Vec<usize>,
     /// The windowed path's short-run block bounds, run after run: a short
     /// term's [`TermMeta`] points here ([`BoundsIn::Query`]).
     pub bounds: Vec<BlockBound>,
 }
 
-/// The short-run merge's buffers: the decoded runs, and the seed pass's
-/// per-document lower bounds.
-#[derive(Debug, Default)]
-pub(crate) struct SeedLanes {
-    /// The short runs the merge walks.
-    pub runs: ShortRuns,
-    /// One lower bound per distinct document of the short runs.
-    pub sums: Vec<f64>,
+impl WeighedRuns {
+    /// Empty every array, keeping their capacity.
+    pub fn clear(&mut self) {
+        self.docs.clear();
+        self.weights.clear();
+        self.heads.clear();
+        self.bounds.clear();
+    }
 }
 
 /// The reusable query-execution arena. See the module docs.
@@ -155,9 +155,12 @@ pub struct QueryScratch {
     /// bounds. All zero between windows: the scoring pass takes every slot
     /// it reads.
     pub(crate) lane_bound: Vec<f64>,
-    /// The short-run pass's buffers; they grow to the largest short-run
-    /// volume seen and stay.
-    pub(crate) seed: SeedLanes,
+    /// The merge's weighed runs; they grow to the largest short-run
+    /// volume or window seen and stay.
+    pub(crate) runs: WeighedRuns,
+    /// The seed pass's lower bounds, one per distinct document of the
+    /// short runs.
+    pub(crate) sums: Vec<f64>,
     /// The reusable top-N heap ([`TopNHeap::reset`] per query).
     pub(crate) heap: TopNHeap,
     /// The current query's results, best first — filled by the `_into`
@@ -193,7 +196,8 @@ impl QueryScratch {
             lane_tf: Vec::new(),
             lane_bits: Vec::new(),
             lane_bound: Vec::new(),
-            seed: SeedLanes::default(),
+            runs: WeighedRuns::default(),
+            sums: Vec::new(),
             heap: TopNHeap::new(0),
             out: Vec::new(),
             phases: PhaseAgg::new(),

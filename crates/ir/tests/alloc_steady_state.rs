@@ -4,14 +4,16 @@
 //! a given shape, every further query through
 //! [`DaatSearcher::search_into`] / [`DaatSearcher::search_exhaustive_into`]
 //! performs **zero heap allocations** — cursor decode buffers, bound work
-//! lists, the short-run merge's buffers, the top-N heap, and the result
+//! lists, the exact merge's buffers, the top-N heap, and the result
 //! vector are all reused arena state. A `#[global_allocator]` wrapper counts every allocation and
-//! reallocation; the steady-state phase must leave the counter untouched.
+//! reallocation, and the bytes each asks for; the steady-state phase must
+//! leave the counter untouched, and the first exhaustive query over long
+//! runs must allocate by the merge's window, not by the query's volume.
 //! The pruned kernel's window lanes are arena state too: they grow on the
 //! first window a query shape decodes and are kept. The tests of the
 //! windowed kernel call it directly (`search_windowed_into`), since the
 //! tiny preset's runs are all short and `search_into` answers those with
-//! the short-run merge.
+//! the exact merge.
 //!
 //! (This is an integration test so the counting allocator owns the whole
 //! test binary; unit tests in the crate keep the system allocator.)
@@ -31,27 +33,30 @@ struct CountingAlloc;
 // itself allocation-free.
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Count one allocation or reallocation of a `bytes`-byte block.
+fn count_one(bytes: usize) {
     ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: delegates every operation to the system allocator unchanged;
 // the counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -65,6 +70,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes requested by every allocation and reallocation so far.
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.with(Cell::get)
 }
 
 #[test]
@@ -294,7 +304,7 @@ fn seeded_queries_allocate_nothing_once_the_seed_buffers_have_grown() {
 #[test]
 fn all_short_queries_allocate_nothing_once_the_merge_buffers_have_grown() {
     // The tiny preset's runs are all at most 512 postings, so every query
-    // is answered by the short-run merge, which never builds the bound
+    // is answered by the exact merge, which never builds the bound
     // tables.
     let collection = Collection::generate(CollectionConfig::tiny()).expect("valid preset");
     let index = InvertedIndex::from_collection(&collection);
@@ -404,4 +414,53 @@ fn windowed_queries_mixing_short_and_long_runs_allocate_nothing_once_the_short_b
         );
         assert!(checksum > 0);
     }
+}
+
+#[test]
+fn the_first_exhaustive_query_over_long_runs_allocates_by_window_not_by_volume() {
+    // Three runs of 60 000, 80 000 and 96 000 postings over 120 000
+    // documents. The exact merge weighs them one window of document ids at
+    // a time, so its buffers hold at most m × WINDOW postings.
+    let num_docs = 120_000u32;
+    let runs: [fn(u32) -> bool; 3] = [|d| d % 2 == 0, |d| d % 3 != 0, |d| d % 5 != 1];
+    let mut postings = Vec::new();
+    for (t, keep) in runs.iter().enumerate() {
+        postings.extend(
+            (0..num_docs)
+                .filter(|&d| keep(d))
+                .map(|d| (t as u32, d, 1 + d % 4)),
+        );
+    }
+    let index =
+        InvertedIndex::from_sorted_postings(runs.len(), vec![20; num_docs as usize], &postings)
+            .expect("sorted, in-range postings");
+    let daat = DaatSearcher::new(&index, RankingModel::default());
+    let query = [0u32, 1, 2];
+    assert!(query
+        .iter()
+        .all(|&t| index.run_len(t).expect("in vocabulary") >= 50_000));
+    let volume = postings.len();
+
+    // A weighed posting is a u32 id and an f64 weight. Growth by doubling
+    // allocates under twice the final capacity, itself under twice the
+    // need; 64 KiB covers the cursor buffers, metas and heap.
+    let posting_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<f64>();
+    let window_bytes = query.len() * (WINDOW + 1) * posting_bytes;
+    let budget = 4 * window_bytes + 64 * 1024;
+    assert!(
+        budget < volume * posting_bytes,
+        "the budget must not admit the volume"
+    );
+
+    let before = allocated_bytes();
+    let mut scratch = QueryScratch::new();
+    let stats = daat
+        .search_exhaustive_into(&query, 10, &BoundGate::none(), &mut scratch)
+        .expect("valid query");
+    let bytes = (allocated_bytes() - before) as usize;
+    assert_eq!(stats.postings_scanned, volume);
+    assert!(
+        bytes <= budget,
+        "the first exhaustive query allocated {bytes} bytes, over {budget} (volume {volume} postings)"
+    );
 }

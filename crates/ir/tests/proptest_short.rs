@@ -1,22 +1,27 @@
-//! Property tests for the pruned DAAT kernel's short-run merge: the path
-//! that answers a query whose every run holds at most 512 postings in the
-//! index searched, where no bound has anything to prune.
+//! Property tests for the exact merge: the exhaustive path, and the pruned
+//! DAAT kernel's answer to a query whose every run holds at most 512
+//! postings in the index searched, where no bound has anything to prune.
 //!
 //! Each case builds a random corpus of 2–6 terms and a query over all of
 //! them that lists one term twice. In the all-short corpora every run is
 //! at most 512 postings; the boundary corpora make the longest run exactly
-//! 512 (still merged) and exactly 513 (the windowed kernel). For the three
-//! default models, BM25 with `b = 3.0` (whose weights can be negative) and
-//! N ∈ {1, 10, 100, num_docs}, the pruned kernel must answer bit for bit
-//! as the exhaustive merge, set-at-a-time evaluation and a 2-shard
-//! sequential engine do, and its work ledger must balance against the
-//! query's postings. Run it alone with
+//! 512 (still merged) and exactly 513 (the windowed kernel); the long
+//! corpora hold runs of 513 to about 12 000 postings over more than
+//! [`WINDOW`] document ids, so the exhaustive merge crosses several
+//! windows and blocks that straddle a window's end. For the three default
+//! models, BM25 with `b = 3.0` (whose weights can be negative) and
+//! N ∈ {1, 10, 100, num_docs}, the exhaustive merge, the pruned kernel
+//! and a 2-shard sequential engine must answer bit for bit as
+//! set-at-a-time evaluation does, the exhaustive merge must weigh every
+//! posting once, and the pruned kernel's work ledger must balance against
+//! the query's postings. Run it alone with
 //! `cargo test -p moa-ir --test proptest_short`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use moa_ir::daat::WINDOW;
 use moa_ir::{
     DaatSearcher, FragmentSpec, InvertedIndex, PhysicalPlan, RankingModel, Searcher, SwitchPolicy,
 };
@@ -35,15 +40,21 @@ fn mix(mut x: u64) -> u64 {
 
 /// A corpus and a query from `seed`: 600–1 599 documents, 2–6 terms with
 /// runs of 1–512 postings (a third of them under 20), tfs 1–8. With
-/// `longest`, term 0's run has exactly that many postings. The query holds
-/// every term, and its first term a second time, shuffled.
+/// `longest`, term 0's run has exactly that many postings; past 513, the
+/// corpus spans 1–3 windows more than that run and a third of the other
+/// runs are long too (513 up to 12 000 postings). The query holds every
+/// term, and its first term a second time, shuffled.
 fn corpus(seed: u64, longest: Option<u32>) -> (InvertedIndex, Vec<u32>) {
     let mut h = mix(seed);
     let mut next = |bound: u64| {
         h = mix(h);
         h % bound
     };
-    let num_docs = 600 + next(1_000) as u32;
+    let long = longest.filter(|&len| len > SHORT + 1);
+    let num_docs = match long {
+        Some(len) => len + (1 + next(2)) as u32 * WINDOW as u32 + next(WINDOW as u64) as u32,
+        None => 600 + next(1_000) as u32,
+    };
     let terms = 2 + next(5) as u32;
     let mut postings = Vec::new();
     for t in 0..terms {
@@ -51,6 +62,9 @@ fn corpus(seed: u64, longest: Option<u32>) -> (InvertedIndex, Vec<u32>) {
         // sampling).
         let mut need = match (t, longest) {
             (0, Some(len)) => len,
+            _ if long.is_some() && next(3) == 0 => {
+                SHORT + 1 + next(u64::from(num_docs.min(12_000) - SHORT)) as u32
+            }
             _ if next(3) == 0 => 1 + next(19) as u32,
             _ => 1 + next(u64::from(SHORT)) as u32,
         };
@@ -82,10 +96,10 @@ fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
     top.iter().map(|&(d, s)| (d, s.to_bits())).collect()
 }
 
-/// Every path answers `query` on `index` bit for bit as the exhaustive
-/// merge does, for every model and N, and the pruned kernel's ledger
-/// balances. `merged` is whether the unsharded pruned kernel must take
-/// the short-run merge.
+/// Every path answers `query` on `index` bit for bit as set-at-a-time
+/// evaluation does, for every model and N, the exhaustive merge weighs
+/// every posting once, and the pruned kernel's ledger balances. `merged`
+/// is whether the unsharded pruned kernel must take the exact merge.
 fn check(index: InvertedIndex, query: &[u32], merged: bool, ctx: &str) {
     let volume: usize = query
         .iter()
@@ -111,7 +125,16 @@ fn check(index: InvertedIndex, query: &[u32], merged: bool, ctx: &str) {
         .expect("the corpus shards cleanly");
         for n in [1usize, 10, 100, index.num_docs()] {
             let ctx = format!("{ctx} {model:?} n={n} q={query:?}");
-            let want = bits(&daat.search_exhaustive(query, n).expect("in vocabulary").top);
+            let want = bits(&saat.search(query, n).expect("in vocabulary").top);
+            let exhaustive = daat.search_exhaustive(query, n).expect("in vocabulary");
+            prop_assert_eq!(bits(&exhaustive.top), want.clone(), "{}: exhaustive", ctx);
+            prop_assert_eq!(exhaustive.postings_scanned, volume, "{}: exhaustive", ctx);
+            prop_assert_eq!(
+                exhaustive.docs_skipped + exhaustive.seeks + exhaustive.bound_exits,
+                0,
+                "{}: exhaustive",
+                ctx
+            );
             let pruned = daat.search(query, n).expect("in vocabulary");
             prop_assert_eq!(bits(&pruned.top), want.clone(), "{}: pruned", ctx);
             prop_assert_eq!(pruned.short_merged, usize::from(merged), "{}", ctx);
@@ -125,12 +148,6 @@ fn check(index: InvertedIndex, query: &[u32], merged: bool, ctx: &str) {
                 prop_assert_eq!(pruned.postings_scanned, volume, "{}", ctx);
                 prop_assert_eq!(pruned.seeks + pruned.bound_exits, 0, "{}", ctx);
             }
-            prop_assert_eq!(
-                bits(&saat.search(query, n).expect("in vocabulary").top),
-                want.clone(),
-                "{}: set-at-a-time",
-                ctx
-            );
             let batch = [BatchQuery {
                 terms: query.to_vec(),
                 n,
@@ -176,4 +193,34 @@ proptest! {
             check(index, &query, longest <= SHORT, &ctx);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn long_runs_merge_exactly_across_windows(seed in 0u64..=u64::MAX) {
+        let longest = SHORT + 1 + (mix(!seed) % 11_500) as u32;
+        let (index, query) = corpus(seed, Some(longest));
+        prop_assert!(index.num_docs() > WINDOW + longest as usize);
+        check(index, &query, false, &format!("seed {seed:#x} longest {longest}"));
+    }
+}
+
+/// Window ends that meet block ends: term 0 holds every document of
+/// `0 .. 3 × WINDOW + 500`, so windows start at multiples of `WINDOW`;
+/// term 1 holds the same range shifted by one, so its 128-posting blocks
+/// end exactly at those window ends; term 2 holds every third document.
+/// A merge that put a block's last posting in the wrong window would
+/// split that document's score across two windows.
+#[test]
+fn window_ends_that_meet_block_ends_merge_exactly() {
+    let num_docs = 3 * WINDOW as u32 + 500;
+    let mut postings: Vec<(u32, u32, u32)> = (0..num_docs - 1).map(|d| (0, d, 1 + d % 3)).collect();
+    postings.extend((1..num_docs).map(|d| (1, d, 1 + d % 5)));
+    postings.extend((0..num_docs).step_by(3).map(|d| (2, d, 2)));
+    let doc_len = (0..num_docs).map(|d| 10 + d % 7).collect();
+    let index = InvertedIndex::from_sorted_postings(3, doc_len, &postings)
+        .expect("sorted, in-range postings");
+    check(index, &[0, 1, 2, 0], false, "aligned windows");
 }

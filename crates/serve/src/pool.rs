@@ -255,8 +255,8 @@ struct WorkerTelemetry {
     /// `serve.threshold_seeded`: executions whose threshold started from
     /// the pruned kernel's seed rather than at −∞.
     seeded: Arc<Counter>,
-    /// `serve.short_merge`: executions the pruned kernel answered with its
-    /// short-run merge, every run of the query being short.
+    /// `serve.short_merge`: executions the pruned kernel answered with the
+    /// exact merge, every run of the query being short.
     short_merged: Arc<Counter>,
     /// `serve.query_ns`: per-shard query wall time.
     query_ns: Arc<Histogram>,

@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn propagation_never_changes_answers_only_work() {
         // Every run of the tiny preset is short, so a pinned pruned plan
-        // would answer each shard-query with the short-run merge, which
+        // would answer each shard-query with the exact merge, which
         // reads the whole query and has nothing to prune on a peer's
         // threshold. The shards therefore run the windowed kernel
         // directly, one after another, as the sequential engine does.

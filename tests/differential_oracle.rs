@@ -531,7 +531,7 @@ fn every_engine_path_matches_the_posting_scan_oracle() {
 /// The pruned DAAT kernel's windows, whatever the run lengths, with the
 /// ranking in the report. Every run of these small collections is at most
 /// 512 postings, so `DaatSearcher::search` would answer their queries with
-/// the short-run merge instead.
+/// the exact merge instead.
 fn windowed(daat: &DaatSearcher<'_>, terms: &[u32], n: usize) -> moa_ir::Result<ExecReport> {
     let mut scratch = QueryScratch::new();
     let report = daat.search_windowed_into(terms, n, &BoundGate::none(), &mut scratch)?;

@@ -9,7 +9,7 @@
 //! kernel started from the exact N-th score (`pruned_daat_oracle`: a gate
 //! first offered the exhaustive answer's N-th score), the windowed kernel
 //! on every query (`pruned_windowed`: `pruned_daat` answers an all-short
-//! query with the short-run merge, so only this line sees the windows of
+//! query with the exact merge, so only this line sees the windows of
 //! such queries), and the in-thread sharded schedule
 //! (`ShardedEngine::execute_batch_sequential`, 2 range shards, planned,
 //! propagation on), so a change that moves any counter or answer of any
